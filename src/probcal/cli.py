@@ -25,11 +25,10 @@ import numpy as np
 from .core import DEFAULT_CLIP_FLOOR, LOGITS, PROBABILITIES
 from .diagrams import reliability_table, render_reliability_svg
 from .dirichlet import interpretation_points, to_canonical
-from .harness import DEFAULT_FIXED, LAMBDA_GRID, HyperGrid, compare_methods, cross_val_fit
+from .harness import LAMBDA_GRID, HyperGrid, compare_methods, cross_val_fit
 from .metrics import DEFAULT_BINS, classwise_reliability, confidence_reliability, evaluate
-from .models import METHOD_INPUT, METHODS, EnsembleModel, model_from_dict
+from .models import METHOD_INPUT, METHOD_SPECS, METHODS, EnsembleModel, method_spec, model_from_dict
 from .optim import OptimizationError
-from .scaling import temperature_as_dirichlet
 from .stattest import calibration_test
 
 EXIT_OK = 0
@@ -227,17 +226,14 @@ def _parse_grid(spec, decouple_mu):
             raise ValueError(f"bad --grid component {part!r}; expected name=v1,v2,...")
         name, _, values = part.partition("=")
         name = name.strip()
-        try:
-            if name == "bins":
-                fields["bins"] = tuple(int(v) for v in values.split(","))
-            elif name in ("lambda", "lam"):
-                fields["lambdas"] = tuple(float(v) for v in values.split(","))
-            elif name == "mu":
-                fields["mus"] = tuple(float(v) for v in values.split(","))
-            else:
-                raise ValueError(f"unknown --grid name {name!r}")
-        except ValueError:
-            raise
+        if name == "bins":
+            fields["bins"] = tuple(int(v) for v in values.split(","))
+        elif name in ("lambda", "lam"):
+            fields["lambdas"] = tuple(float(v) for v in values.split(","))
+        elif name == "mu":
+            fields["mus"] = tuple(float(v) for v in values.split(","))
+        else:
+            raise ValueError(f"unknown --grid name {name!r}")
     if not fields:
         raise ValueError(f"empty --grid specification {spec!r}")
     if decouple_mu and "mus" not in fields:
@@ -247,7 +243,7 @@ def _parse_grid(spec, decouple_mu):
 
 def _fixed_hyper(args):
     """Fixed hyperparameters for --method from flags, falling back to defaults."""
-    hyper = dict(DEFAULT_FIXED[args.method])
+    hyper = dict(method_spec(args.method).defaults)
     if getattr(args, "lam", None) is not None:
         if "lam" not in hyper:
             raise ValueError(f"method {args.method} takes no lambda")
@@ -405,15 +401,14 @@ def cmd_inspect(args) -> int:
     members = model.members if isinstance(model, EnsembleModel) else [model]
     records = []
     for i, member in enumerate(members):
-        if member.method in ("dirichlet_l2", "dirichlet_odir"):
-            canonical = to_canonical(member.params)
-        elif member.method == "temperature":
-            canonical = to_canonical(temperature_as_dirichlet(member.params, member.k))
-        else:
+        as_dirichlet = method_spec(member.method).as_dirichlet
+        if as_dirichlet is None:
+            family = [m for m, spec in METHOD_SPECS.items() if spec.as_dirichlet is not None]
             raise ValueError(
                 f"method {member.method} is not in the Dirichlet family; "
-                "inspect supports dirichlet_l2, dirichlet_odir and temperature"
+                f"inspect supports {', '.join(family[:-1])} and {family[-1]}"
             )
+        canonical = to_canonical(as_dirichlet(member.params, member.k))
         points = interpretation_points(canonical, args.epsilon)
         records.append({
             "member": i,

@@ -252,10 +252,17 @@ def _penalty_matrices(reg, k: int):
     return pen_w, pen_b
 
 
-def _value_grad(theta, feats, onehot, pen_w, pen_b):
-    n, k = onehot.shape
-    W = theta[: k * k].reshape(k, k)
-    b = theta[k * k :]
+def _unpack(theta, free):
+    """(W, b) from the parameter vector [free entries of W row by row, b]."""
+    m = np.count_nonzero(free)
+    W = np.zeros(free.shape)
+    W[free] = theta[:m]
+    return W, theta[m:]
+
+
+def _value_grad(theta, feats, onehot, pen_w, pen_b, free):
+    n = onehot.shape[0]
+    W, b = _unpack(theta, free)
     scores = feats @ W.T + b
     shifted = scores - scores.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1))
@@ -265,38 +272,39 @@ def _value_grad(theta, feats, onehot, pen_w, pen_b):
     resid = (np.exp(logp) - onehot) / n
     grad_w = resid.T @ feats + 2.0 * pen_w * W
     grad_b = resid.sum(axis=0) + 2.0 * pen_b * b
-    return value, np.concatenate([grad_w.ravel(), grad_b])
+    return value, np.concatenate([grad_w[free], grad_b])
 
 
-def _hessian(theta, feats, pen_w, pen_b):
-    n = feats.shape[0]
-    k = pen_b.shape[0]
-    W = theta[: k * k].reshape(k, k)
-    b = theta[k * k :]
+def _hessian(theta, feats, pen_w, pen_b, free):
+    n, k = feats.shape
+    W, b = _unpack(theta, free)
     P = softmax(feats @ W.T + b, axis=1)
     faug = np.hstack([feats, np.ones((n, 1))])  # (n, k+1)
-    # Class-block layout: parameter block a is (W[a, :], b_a).
-    V = (P[:, :, None] * faug[:, None, :]).reshape(n, k * (k + 1))
+    # Class-block layout: parameter block a is (free W[a, :], b_a), which
+    # multiplies G[:, a], the columns of faug it sees. With every entry free
+    # G is a broadcast view: no copy, and each G[:, a] has faug's own layout.
+    if free.all():
+        G = np.broadcast_to(faug[:, None, :], (n, k, k + 1))
+    else:
+        G = faug[:, np.column_stack([np.nonzero(free)[1].reshape(k, -1), np.full(k, k)])]
+    width = G.shape[2]
+    V = (P[:, :, None] * G).reshape(n, k * width)
     H = -(V.T @ V)
     for a in range(k):
-        s = a * (k + 1)
-        H[s : s + k + 1, s : s + k + 1] += faug.T @ (faug * P[:, a : a + 1])
+        s = a * width
+        H[s : s + width, s : s + width] += G[:, a].T @ (G[:, a] * P[:, a : a + 1])
     H /= n
-    # Reorder into the [vec(W), b] layout used by the objective.
-    perm = np.empty(k * (k + 1), dtype=int)
-    for a in range(k):
-        perm[a * k : (a + 1) * k] = np.arange(a * (k + 1), a * (k + 1) + k)
-        perm[k * k + a] = a * (k + 1) + k
+    # Reorder into the [free W entries, b] layout used by the objective.
+    blocks = np.arange(k * width).reshape(k, width)
+    perm = np.concatenate([blocks[:, :-1].ravel(), blocks[:, -1]])
     H = H[np.ix_(perm, perm)]
-    diag_pen = np.concatenate([2.0 * pen_w.ravel(), 2.0 * pen_b])
-    H[np.diag_indices_from(H)] += diag_pen
+    H[np.diag_indices_from(H)] += np.concatenate([2.0 * pen_w[free], 2.0 * pen_b])
     return H
 
 
-def _prepare(probs, labels):
-    feats = log_transform(probs)
-    if feats.ndim == 1:
-        feats = feats[None, :]
+def _prepare(feats, labels):
+    """Feature rows as a 2-d array, and the one-hot matrix of checked labels."""
+    feats = np.atleast_2d(feats)
     n, k = feats.shape
     y = np.asarray(labels, dtype=np.int64)
     if y.shape != (n,):
@@ -314,10 +322,45 @@ def objective_and_gradient(params: LinearParams, probs, labels, reg):
     The gradient is taken over all k^2 + k parameters in [vec(W), b] order
     and matches central finite differences to high relative accuracy.
     """
-    feats, onehot = _prepare(probs, labels)
+    feats, onehot = _prepare(log_transform(probs), labels)
     pen_w, pen_b = _penalty_matrices(reg, params.k)
     theta = np.concatenate([params.W.ravel(), params.b])
-    return _value_grad(theta, feats, onehot, pen_w, pen_b)
+    return _value_grad(theta, feats, onehot, pen_w, pen_b, np.ones_like(params.W, dtype=bool))
+
+
+def fit_multinomial(feats, labels, reg, diagonal: bool = False,
+                    tol: float = 1e-8, max_iter: int = 500):
+    """Fit softmax(W x + b) to feature rows x by penalized maximum likelihood.
+
+    The one fitting core behind Dirichlet calibration (x = ln q) and
+    matrix and vector scaling (x = logits). ``diagonal`` keeps W diagonal
+    (vector scaling); otherwise every entry of W is free; b is always free.
+    Starts from W = I, b = 0 and returns the fitted ``(W, b)``, warning if
+    the fit did not converge.
+    """
+    feats, onehot = _prepare(feats, labels)
+    n, k = onehot.shape
+    if n < k:
+        raise ValueError(f"need at least k={k} instances, got {n}")
+    if np.unique(np.argmax(onehot, axis=1)).size < 2:
+        raise ValueError("labels contain a single class; nothing to fit")
+    pen_w, pen_b = _penalty_matrices(reg, k)
+    free = np.eye(k, dtype=bool) if diagonal else np.ones((k, k), dtype=bool)
+    result = minimize(
+        lambda t: _value_grad(t, feats, onehot, pen_w, pen_b, free),
+        np.concatenate([np.eye(k)[free], np.zeros(k)]),
+        hess=lambda t: _hessian(t, feats, pen_w, pen_b, free),
+        tol=tol,
+        max_iter=max_iter,
+    )
+    if not result.converged:
+        warnings.warn(
+            f"calibration fit stopped at gradient norm {result.gradient_norm:.2e} "
+            f"after {result.iterations} iterations",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return _unpack(result.params, free)
 
 
 def fit(probs, labels, reg, tol: float = 1e-8, max_iter: int = 500) -> LinearParams:
@@ -341,30 +384,7 @@ def fit(probs, labels, reg, tol: float = 1e-8, max_iter: int = 500) -> LinearPar
         Starts from the identity map (W = I, b = 0); the objective is
         convex, so the start affects speed only.
     """
-    feats, onehot = _prepare(probs, labels)
-    n, k = onehot.shape
-    if n < k:
-        raise ValueError(f"need at least k={k} instances, got {n}")
-    if np.unique(np.argmax(onehot, axis=1)).size < 2:
-        raise ValueError("labels contain a single class; nothing to fit")
-    pen_w, pen_b = _penalty_matrices(reg, k)
-    theta0 = np.concatenate([np.eye(k).ravel(), np.zeros(k)])
-    result = minimize(
-        lambda t: _value_grad(t, feats, onehot, pen_w, pen_b),
-        theta0,
-        hess=lambda t: _hessian(t, feats, pen_w, pen_b),
-        tol=tol,
-        max_iter=max_iter,
-    )
-    if not result.converged:
-        warnings.warn(
-            f"calibration fit stopped at gradient norm {result.gradient_norm:.2e} "
-            f"after {result.iterations} iterations",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    W = result.params[: k * k].reshape(k, k)
-    b = result.params[k * k :]
+    W, b = fit_multinomial(log_transform(probs), labels, reg, tol=tol, max_iter=max_iter)
     return LinearParams(W=W, b=b)
 
 

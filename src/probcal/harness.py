@@ -13,27 +13,13 @@ import numpy as np
 
 from .core import DEFAULT_CLIP_FLOOR, LOGITS, PROBABILITIES, softmax
 from .metrics import DEFAULT_BINS, evaluate, log_loss
-from .models import METHOD_INPUT, EnsembleModel, fit_calibrator
+from .models import METHOD_INPUT, EnsembleModel, fit_calibrator, method_spec
 from .stattest import _mix64, acceptance_rate, calibration_test
 
 #: Penalty-weight grid, 1e-7 .. 1e2 log-spaced.
 LAMBDA_GRID = tuple(10.0 ** e for e in range(-7, 3))
 #: Bin-count grid for the binning calibrators.
 BIN_GRID = (5, 10, 15, 20, 25, 30)
-
-#: Fixed fallbacks used when no grid and no explicit value are given.
-DEFAULT_FIXED = {
-    "dirichlet_l2": {"lam": 1e-3},
-    "dirichlet_odir": {"lam": 1e-3, "mu": 1e-3},
-    "matrix_odir": {"lam": 1e-3, "mu": 1e-3},
-    "vector_scaling": {"mu": 0.0},
-    "ovr_width_bin": {"bins": 5},
-    "ovr_freq_bin": {"bins": 10},
-    "temperature": {},
-    "ovr_isotonic": {},
-    "ovr_beta": {},
-    "uncalibrated": {},
-}
 
 
 @dataclass(frozen=True)
@@ -45,18 +31,22 @@ class HyperGrid:
     bins: tuple = BIN_GRID
 
     def points(self, method: str) -> list:
-        """Grid points (dicts) in deterministic order for one method."""
-        if method == "dirichlet_l2":
-            return [{"lam": l} for l in self.lambdas]
-        if method in ("dirichlet_odir", "matrix_odir"):
-            if self.mus:
-                return [{"lam": l, "mu": m} for l in self.lambdas for m in self.mus]
-            return [{"lam": l, "mu": l} for l in self.lambdas]
-        if method == "vector_scaling":
-            return [{"mu": m} for m in (self.mus or (0.0,))]
-        if method in ("ovr_width_bin", "ovr_freq_bin"):
+        """Grid points (dicts) in deterministic order for one method.
+
+        The hyperparameters searched are those the method's defaults name.
+        Without ``mus``, a method with both ``lam`` and ``mu`` ties mu to
+        lambda, and one with ``mu`` alone keeps its default.
+        """
+        names = method_spec(method).defaults
+        if "bins" in names:
             return [{"bins": int(b)} for b in self.bins]
-        return [{}]
+        if "lam" not in names:
+            return [{"mu": m} for m in (self.mus or (names["mu"],))] if "mu" in names else [{}]
+        if "mu" not in names:
+            return [{"lam": l} for l in self.lambdas]
+        if self.mus:
+            return [{"lam": l, "mu": m} for l in self.lambdas for m in self.mus]
+        return [{"lam": l, "mu": l} for l in self.lambdas]
 
 
 def stratified_folds(y, folds: int, seed: int) -> np.ndarray:
@@ -98,22 +88,20 @@ def cross_val_fit(method: str, X, y, folds: int, seed: int = 0,
     y = np.asarray(y, dtype=np.int64)
     if X.shape[0] < folds:
         raise ValueError(f"need at least {folds} instances, got {X.shape[0]}")
-    candidates = grid.points(method) if grid is not None else None
-    if candidates is not None and not candidates:
-        raise ValueError(f"empty hyperparameter grid for method {method}")
+    if grid is None:
+        candidates = [dict(fixed_hyper if fixed_hyper is not None else method_spec(method).defaults)]
+    else:
+        candidates = grid.points(method)
+        if not candidates:
+            raise ValueError(f"empty hyperparameter grid for method {method}")
 
     if folds == 1:
-        if candidates is not None and len(candidates) > 1:
+        if len(candidates) > 1:
             raise ValueError("grid search requires folds >= 2")
-        hyper = dict(candidates[0]) if candidates else dict(
-            fixed_hyper if fixed_hyper is not None else DEFAULT_FIXED[method]
-        )
+        hyper = dict(candidates[0])
         model = fit_calibrator(method, X, y, hyper, label_names=label_names,
                                clip_floor=clip_floor, seed=seed)
         return model, hyper, [(hyper, None)]
-
-    if candidates is None:
-        candidates = [dict(fixed_hyper if fixed_hyper is not None else DEFAULT_FIXED[method])]
 
     assignment = stratified_folds(y, folds, seed)
     table = []

@@ -76,10 +76,16 @@ def _binned(x: np.ndarray, hits: np.ndarray, m: int):
     return counts, mean_x, freq
 
 
-def confidence_reliability(p, y, m: int = DEFAULT_BINS) -> ReliabilityBins:
-    """Bin rows by confidence (max probability); record accuracy per bin."""
+def _checked(p, y):
+    """Validated (probability matrix, label vector) pair."""
     p = as_probability_matrix(p)
-    y = as_label_vector(y, p.shape[1], p.shape[0])
+    return p, as_label_vector(y, p.shape[1], p.shape[0])
+
+
+# The underscored helpers below take already-validated arrays; the public
+# measures validate their inputs and delegate to them.
+
+def _confidence_bins(p, y, m: int) -> ReliabilityBins:
     if m < 1:
         raise ValueError("bin count must be at least 1")
     conf = p.max(axis=1)
@@ -94,12 +100,7 @@ def confidence_reliability(p, y, m: int = DEFAULT_BINS) -> ReliabilityBins:
     )
 
 
-def classwise_reliability(p, y, j: int, m: int = DEFAULT_BINS) -> ReliabilityBins:
-    """Bin rows by class-j predicted probability; record class-j frequency."""
-    p = as_probability_matrix(p)
-    y = as_label_vector(y, p.shape[1], p.shape[0])
-    if not 0 <= j < p.shape[1]:
-        raise ValueError(f"class index {j} out of range")
+def _classwise_bins(p, y, j: int, m: int) -> ReliabilityBins:
     if m < 1:
         raise ValueError("bin count must be at least 1")
     counts, mean_pred, freq = _binned(p[:, j], (y == j).astype(float), m)
@@ -117,6 +118,45 @@ def _weighted_gap(bins: ReliabilityBins, n: int) -> float:
     return float((bins.counts / n * bins.gaps).sum())
 
 
+def _max_gap(bins: ReliabilityBins) -> float:
+    gaps = bins.gaps[bins.counts > 0]
+    return float(gaps.max()) if gaps.size else 0.0
+
+
+def _classwise_ece(p, y, m: int):
+    n, k = p.shape
+    per_class = np.array([_weighted_gap(_classwise_bins(p, y, j, m), n) for j in range(k)])
+    return float(per_class.mean()), per_class
+
+
+def _brier(p, y) -> float:
+    onehot = np.zeros_like(p)
+    onehot[np.arange(p.shape[0]), y] = 1.0
+    return float(((p - onehot) ** 2).sum(axis=1).mean())
+
+
+def _log_loss(p, y, floor: float) -> float:
+    p = clip_probabilities(p, floor)
+    return float(-np.log(p[np.arange(p.shape[0]), y]).mean())
+
+
+def _accuracy(p, y) -> float:
+    return float((p.argmax(axis=1) == y).mean())
+
+
+def confidence_reliability(p, y, m: int = DEFAULT_BINS) -> ReliabilityBins:
+    """Bin rows by confidence (max probability); record accuracy per bin."""
+    return _confidence_bins(*_checked(p, y), m)
+
+
+def classwise_reliability(p, y, j: int, m: int = DEFAULT_BINS) -> ReliabilityBins:
+    """Bin rows by class-j predicted probability; record class-j frequency."""
+    p, y = _checked(p, y)
+    if not 0 <= j < p.shape[1]:
+        raise ValueError(f"class index {j} out of range")
+    return _classwise_bins(p, y, j, m)
+
+
 def confidence_ece(p, y, m: int = DEFAULT_BINS) -> float:
     """Count-weighted mean |accuracy - confidence| over nonempty bins."""
     bins = confidence_reliability(p, y, m)
@@ -131,42 +171,26 @@ def classwise_ece(p, y, m: int = DEFAULT_BINS):
     predicted class-j probability over class-j bins, and ``cw_ece`` is
     the average over classes.
     """
-    p = as_probability_matrix(p)
-    y = as_label_vector(y, p.shape[1], p.shape[0])
-    n, k = p.shape
-    per_class = np.array(
-        [_weighted_gap(classwise_reliability(p, y, j, m), n) for j in range(k)]
-    )
-    return float(per_class.mean()), per_class
+    return _classwise_ece(*_checked(p, y), m)
 
 
 def mce(p, y, m: int = DEFAULT_BINS) -> float:
     """Maximum |accuracy - confidence| over nonempty confidence bins."""
-    bins = confidence_reliability(p, y, m)
-    gaps = bins.gaps[bins.counts > 0]
-    return float(gaps.max()) if gaps.size else 0.0
+    return _max_gap(confidence_reliability(p, y, m))
 
 
 def brier(p, y) -> float:
     """Mean squared distance between rows and one-hot labels (sums over classes)."""
-    p = as_probability_matrix(p)
-    y = as_label_vector(y, p.shape[1], p.shape[0])
-    onehot = np.zeros_like(p)
-    onehot[np.arange(p.shape[0]), y] = 1.0
-    return float(((p - onehot) ** 2).sum(axis=1).mean())
+    return _brier(*_checked(p, y))
 
 
 def log_loss(p, y, floor: float = DEFAULT_CLIP_FLOOR) -> float:
     """Mean negative log probability of the true label, clipped so it is finite."""
-    p = clip_probabilities(as_probability_matrix(p), floor)
-    y = as_label_vector(y, p.shape[1], p.shape[0])
-    return float(-np.log(p[np.arange(p.shape[0]), y]).mean())
+    return _log_loss(*_checked(p, y), floor)
 
 
 def accuracy(p, y) -> float:
-    p = as_probability_matrix(p)
-    y = as_label_vector(y, p.shape[1], p.shape[0])
-    return float((p.argmax(axis=1) == y).mean())
+    return _accuracy(*_checked(p, y))
 
 
 def error_rate(p, y) -> float:
@@ -175,8 +199,7 @@ def error_rate(p, y) -> float:
 
 def confusion_matrix(p, y) -> np.ndarray:
     """Counts with true class on rows and argmax-predicted class on columns."""
-    p = as_probability_matrix(p)
-    y = as_label_vector(y, p.shape[1], p.shape[0])
+    p, y = _checked(p, y)
     k = p.shape[1]
     pred = p.argmax(axis=1)
     counts = np.bincount(y * k + pred, minlength=k * k)
@@ -235,19 +258,19 @@ class EvalReport:
 
 def evaluate(p, y, m: int = DEFAULT_BINS, floor: float = DEFAULT_CLIP_FLOOR) -> EvalReport:
     """Compute the full measure bundle (significance p-values not included)."""
-    p = as_probability_matrix(p)
-    y = as_label_vector(y, p.shape[1], p.shape[0])
-    acc = accuracy(p, y)
-    cw, per_class = classwise_ece(p, y, m)
+    p, y = _checked(p, y)
+    acc = _accuracy(p, y)
+    cw, per_class = _classwise_ece(p, y, m)
+    conf_bins = _confidence_bins(p, y, m)
     return EvalReport(
         accuracy=acc,
         error_rate=1.0 - acc,
-        log_loss=log_loss(p, y, floor),
-        brier=brier(p, y),
-        conf_ece=confidence_ece(p, y, m),
+        log_loss=_log_loss(p, y, floor),
+        brier=_brier(p, y),
+        conf_ece=_weighted_gap(conf_bins, p.shape[0]),
         cw_ece=cw,
         per_class_ece=per_class,
-        mce=mce(p, y, m),
+        mce=_max_gap(conf_bins),
         bins=m,
         n=p.shape[0],
         k=p.shape[1],

@@ -9,7 +9,7 @@ Both round-trip losslessly through plain dicts / JSON.
 
 import datetime
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -18,95 +18,114 @@ from .core import DEFAULT_CLIP_FLOOR, LOGITS, PROBABILITIES, clip_probabilities
 
 SCHEMA_ID = "probcal-model-v1"
 
-#: method tag -> kind of input rows the method consumes.
-METHOD_INPUT = {
-    "dirichlet_l2": PROBABILITIES,
-    "dirichlet_odir": PROBABILITIES,
-    "temperature": LOGITS,
-    "vector_scaling": LOGITS,
-    "matrix_odir": LOGITS,
-    "ovr_isotonic": PROBABILITIES,
-    "ovr_width_bin": PROBABILITIES,
-    "ovr_freq_bin": PROBABILITIES,
-    "ovr_beta": PROBABILITIES,
-    "uncalibrated": PROBABILITIES,
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """Everything the library needs to know about one method tag.
+
+    ``fit(X, y, hyper, clip_floor, tol, max_iter)`` returns the raw
+    parameter object; ``apply(params, X, clip_floor)`` returns calibrated
+    probability rows; ``to_json`` / ``from_json`` convert the parameters to
+    and from plain dicts; ``defaults`` are the fixed hyperparameters used
+    when no grid or value is given, and name the ones a grid searches;
+    ``as_dirichlet(params, k)``, when set, gives the equivalent Dirichlet
+    map ``LinearParams``. Entries look module functions up at call time.
+    """
+
+    input: str
+    fit: Callable
+    apply: Callable
+    to_json: Callable
+    from_json: Callable
+    defaults: dict
+    as_dirichlet: Optional[Callable] = None
+
+
+def _weights_to_json(params) -> dict:
+    return {"W": params.W.tolist(), "b": params.b.tolist()}
+
+
+def _dirichlet_spec(reg, defaults) -> MethodSpec:
+    return MethodSpec(
+        input=PROBABILITIES,
+        fit=lambda X, y, h, floor, tol, max_iter: dirichlet.fit(
+            clip_probabilities(X, floor), y, reg(h), tol=tol, max_iter=max_iter),
+        apply=lambda params, X, floor: dirichlet.apply_linear(clip_probabilities(X, floor), params),
+        to_json=_weights_to_json,
+        from_json=lambda obj: dirichlet.LinearParams(W=np.array(obj["W"]), b=np.array(obj["b"])),
+        defaults=defaults,
+        as_dirichlet=lambda params, k: params,
+    )
+
+
+def _affine_spec(mode, reg, defaults) -> MethodSpec:
+    return MethodSpec(
+        input=LOGITS,
+        fit=lambda X, y, h, floor, tol, max_iter: scaling.fit_affine_logit(
+            X, y, mode=mode, reg=reg(h), tol=tol, max_iter=max_iter),
+        apply=lambda params, X, floor: scaling.apply_affine_logit(X, params),
+        to_json=_weights_to_json,
+        from_json=lambda obj: scaling.AffineLogitParams(W=np.array(obj["W"]), b=np.array(obj["b"])),
+        defaults=defaults,
+    )
+
+
+def _ovr_spec(kind, defaults) -> MethodSpec:
+    return MethodSpec(
+        input=PROBABILITIES,
+        fit=lambda X, y, h, *_: ovr.fit_ovr(X, y, kind, **{name: h[name] for name in defaults}),
+        apply=lambda params, X, floor: ovr.apply_ovr(X, params),
+        to_json=lambda params: {"kind": params.kind,
+                                "maps": [_binary_to_jsonable(m) for m in params.maps]},
+        from_json=lambda obj: ovr.OneVsRestModel(
+            kind=obj["kind"], maps=tuple(_binary_from_jsonable(m) for m in obj["maps"])),
+        defaults=defaults,
+    )
+
+
+#: method tag -> its spec, in the order methods are listed and compared.
+METHOD_SPECS = {
+    "dirichlet_l2": _dirichlet_spec(lambda h: dirichlet.L2Config(h["lam"]), {"lam": 1e-3}),
+    "dirichlet_odir": _dirichlet_spec(lambda h: dirichlet.OdirConfig(h["lam"], h["mu"]),
+                                      {"lam": 1e-3, "mu": 1e-3}),
+    "temperature": MethodSpec(
+        input=LOGITS,
+        fit=lambda X, y, *_: scaling.fit_temperature(X, y),
+        apply=lambda params, X, floor: scaling.apply_temperature(X, params),
+        to_json=lambda params: {"t": params.t},
+        from_json=lambda obj: scaling.TemperatureParams(t=float(obj["t"])),
+        defaults={},
+        as_dirichlet=lambda params, k: scaling.temperature_as_dirichlet(params, k),
+    ),
+    "vector_scaling": _affine_spec("vector", lambda h: scaling.OdirConfig(0.0, h.get("mu", 0.0)),
+                                   {"mu": 0.0}),
+    "matrix_odir": _affine_spec("matrix", lambda h: scaling.OdirConfig(h["lam"], h["mu"]),
+                                {"lam": 1e-3, "mu": 1e-3}),
+    "ovr_isotonic": _ovr_spec("isotonic", {}),
+    "ovr_width_bin": _ovr_spec("width_bin", {"bins": 5}),
+    "ovr_freq_bin": _ovr_spec("freq_bin", {"bins": 10}),
+    "ovr_beta": _ovr_spec("beta", {}),
+    "uncalibrated": MethodSpec(
+        input=PROBABILITIES,
+        fit=lambda *_: None,
+        apply=lambda params, X, floor: clip_probabilities(X, floor),
+        to_json=lambda params: {},
+        from_json=lambda obj: None,
+        defaults={},
+    ),
 }
 
-METHODS = tuple(METHOD_INPUT)
+#: method tag -> kind of input rows the method consumes.
+METHOD_INPUT = {tag: spec.input for tag, spec in METHOD_SPECS.items()}
+
+METHODS = tuple(METHOD_SPECS)
 
 
-def _check_method(method: str):
-    if method not in METHOD_INPUT:
+def method_spec(method: str) -> MethodSpec:
+    """The spec of one method tag; unknown tags raise ValueError."""
+    if method not in METHOD_SPECS:
         raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
-
-
-def fit_method(method: str, X, y, hyper: dict, clip_floor: float = DEFAULT_CLIP_FLOOR,
-               tol: float = 1e-8, max_iter: int = 500):
-    """Fit the raw parameter object for one method on (X, y)."""
-    _check_method(method)
-    if method == "dirichlet_l2":
-        probs = clip_probabilities(X, clip_floor)
-        return dirichlet.fit(probs, y, dirichlet.L2Config(hyper["lam"]), tol=tol, max_iter=max_iter)
-    if method == "dirichlet_odir":
-        probs = clip_probabilities(X, clip_floor)
-        reg = dirichlet.OdirConfig(hyper["lam"], hyper["mu"])
-        return dirichlet.fit(probs, y, reg, tol=tol, max_iter=max_iter)
-    if method == "temperature":
-        return scaling.fit_temperature(X, y)
-    if method == "vector_scaling":
-        reg = scaling.OdirConfig(0.0, hyper.get("mu", 0.0))
-        return scaling.fit_affine_logit(X, y, mode="vector", reg=reg, tol=tol, max_iter=max_iter)
-    if method == "matrix_odir":
-        reg = scaling.OdirConfig(hyper["lam"], hyper["mu"])
-        return scaling.fit_affine_logit(X, y, mode="matrix", reg=reg, tol=tol, max_iter=max_iter)
-    if method == "ovr_isotonic":
-        return ovr.fit_ovr(X, y, "isotonic")
-    if method == "ovr_width_bin":
-        return ovr.fit_ovr(X, y, "width_bin", bins=hyper["bins"])
-    if method == "ovr_freq_bin":
-        return ovr.fit_ovr(X, y, "freq_bin", bins=hyper["bins"])
-    if method == "ovr_beta":
-        return ovr.fit_ovr(X, y, "beta")
-    return None  # uncalibrated
-
-
-def apply_method(method: str, params, X, clip_floor: float = DEFAULT_CLIP_FLOOR) -> np.ndarray:
-    """Calibrated probability rows for one method's raw parameters."""
-    _check_method(method)
-    if method in ("dirichlet_l2", "dirichlet_odir"):
-        return dirichlet.apply_linear(clip_probabilities(X, clip_floor), params)
-    if method == "temperature":
-        return scaling.apply_temperature(X, params)
-    if method in ("vector_scaling", "matrix_odir"):
-        return scaling.apply_affine_logit(X, params)
-    if method.startswith("ovr_"):
-        return ovr.apply_ovr(X, params)
-    return clip_probabilities(X, clip_floor)  # uncalibrated
-
-
-def _params_to_jsonable(method: str, params) -> dict:
-    if method in ("dirichlet_l2", "dirichlet_odir"):
-        return {"W": params.W.tolist(), "b": params.b.tolist()}
-    if method == "temperature":
-        return {"t": params.t}
-    if method in ("vector_scaling", "matrix_odir"):
-        return {"W": params.W.tolist(), "b": params.b.tolist()}
-    if method.startswith("ovr_"):
-        return {"kind": params.kind, "maps": [_binary_to_jsonable(m) for m in params.maps]}
-    return {}
-
-
-def _params_from_jsonable(method: str, obj: dict):
-    if method in ("dirichlet_l2", "dirichlet_odir"):
-        return dirichlet.LinearParams(W=np.array(obj["W"]), b=np.array(obj["b"]))
-    if method == "temperature":
-        return scaling.TemperatureParams(t=float(obj["t"]))
-    if method in ("vector_scaling", "matrix_odir"):
-        return scaling.AffineLogitParams(W=np.array(obj["W"]), b=np.array(obj["b"]))
-    if method.startswith("ovr_"):
-        maps = tuple(_binary_from_jsonable(m) for m in obj["maps"])
-        return ovr.OneVsRestModel(kind=obj["kind"], maps=maps)
-    return None
+    return METHOD_SPECS[method]
 
 
 def _binary_to_jsonable(m) -> dict:
@@ -150,7 +169,7 @@ class CalibratorModel:
     created: Optional[str] = None
 
     def __post_init__(self):
-        _check_method(self.method)
+        method_spec(self.method)
         if self.k < 2:
             raise ValueError("k must be at least 2")
         if not self.label_names:
@@ -167,7 +186,7 @@ class CalibratorModel:
         cols = X.shape[-1]
         if cols != self.k:
             raise ValueError(f"model expects {self.k} classes, input has {cols}")
-        return apply_method(self.method, self.params, X, self.clip_floor)
+        return method_spec(self.method).apply(self.params, X, self.clip_floor)
 
     def to_dict(self) -> dict:
         return {
@@ -177,7 +196,7 @@ class CalibratorModel:
             "k": self.k,
             "input": self.input_kind,
             "labels": list(self.label_names),
-            "params": _params_to_jsonable(self.method, self.params),
+            "params": method_spec(self.method).to_json(self.params),
             "hyperparams": dict(self.hyperparams),
             "clip_floor": self.clip_floor,
             "seed": self.seed,
@@ -192,7 +211,7 @@ class CalibratorModel:
         return cls(
             method=method,
             k=int(obj["k"]),
-            params=_params_from_jsonable(method, obj["params"]),
+            params=method_spec(method).from_json(obj["params"]),
             label_names=list(obj.get("labels", [])),
             hyperparams=dict(obj.get("hyperparams", {})),
             clip_floor=float(obj.get("clip_floor", DEFAULT_CLIP_FLOOR)),
@@ -275,7 +294,7 @@ def fit_calibrator(method: str, X, y, hyper: Optional[dict] = None,
     """Fit one method on all of (X, y) and wrap it as a CalibratorModel."""
     X = np.asarray(X, dtype=float)
     hyper = dict(hyper or {})
-    params = fit_method(method, X, y, hyper, clip_floor, tol=tol, max_iter=max_iter)
+    params = method_spec(method).fit(X, y, hyper, clip_floor, tol, max_iter)
     return CalibratorModel(
         method=method,
         k=X.shape[1],

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_logit_matrix, softmax
-from .dirichlet import LinearParams, OdirConfig, _hessian, _penalty_matrices, _value_grad
-from .optim import minimize, minimize_scalar
+from .dirichlet import LinearParams, OdirConfig, fit_multinomial
+from .optim import minimize_scalar
 
 #: Search bounds for the fitted temperature.
 T_MIN = 1e-2
@@ -117,35 +117,8 @@ def temperature_as_dirichlet(params, k: int) -> LinearParams:
 
 
 # ---------------------------------------------------------------------------
-# Vector and matrix scaling
+# Vector and matrix scaling: the multinomial fitting core on logit features
 # ---------------------------------------------------------------------------
-
-def _vector_value_grad(theta, z, onehot, pen_b):
-    n, k = onehot.shape
-    d, b = theta[:k], theta[k:]
-    scores = z * d + b
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    logp = shifted - log_norm[:, None]
-    value = -(logp[np.arange(n), onehot.argmax(axis=1)]).mean() + float((pen_b * b * b).sum())
-    resid = (np.exp(logp) - onehot) / n
-    grad_d = (resid * z).sum(axis=0)
-    grad_b = resid.sum(axis=0) + 2.0 * pen_b * b
-    return value, np.concatenate([grad_d, grad_b])
-
-
-def _vector_hessian(theta, z, pen_b):
-    n, k = z.shape
-    d, b = theta[:k], theta[k:]
-    P = softmax(z * d + b, axis=1)
-    pz = P * z
-    h_dd = np.diag((pz * z).sum(axis=0)) - pz.T @ pz
-    h_db = np.diag(pz.sum(axis=0)) - pz.T @ P
-    h_bb = np.diag(P.sum(axis=0)) - P.T @ P
-    H = np.block([[h_dd, h_db], [h_db.T, h_bb]]) / n
-    H[np.diag_indices_from(H)] += np.concatenate([np.zeros(k), 2.0 * pen_b])
-    return H
-
 
 def fit_affine_logit(z, labels, mode: str = "matrix",
                      reg: OdirConfig = OdirConfig(0.0, 0.0),
@@ -169,51 +142,9 @@ def fit_affine_logit(z, labels, mode: str = "matrix",
     with a backtracking line search.
     """
     z = as_logit_matrix(z)
-    n, k = z.shape
-    y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (n,):
-        raise ValueError("labels must match the number of logit rows")
-    if n < k:
-        raise ValueError(f"need at least k={k} instances, got {n}")
-    if np.unique(y).size < 2:
-        raise ValueError("labels contain a single class; nothing to fit")
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), y] = 1.0
-
-    if mode == "matrix":
-        pen_w, pen_b = _penalty_matrices(reg, k)
-        theta0 = np.concatenate([np.eye(k).ravel(), np.zeros(k)])
-        result = minimize(
-            lambda t: _value_grad(t, z, onehot, pen_w, pen_b),
-            theta0,
-            hess=lambda t: _hessian(t, z, pen_w, pen_b),
-            tol=tol,
-            max_iter=max_iter,
-        )
-        W = result.params[: k * k].reshape(k, k)
-        b = result.params[k * k :]
-    elif mode == "vector":
-        pen_b = np.full(k, reg.mu / k)
-        theta0 = np.concatenate([np.ones(k), np.zeros(k)])
-        result = minimize(
-            lambda t: _vector_value_grad(t, z, onehot, pen_b),
-            theta0,
-            hess=lambda t: _vector_hessian(t, z, pen_b),
-            tol=tol,
-            max_iter=max_iter,
-        )
-        W = np.diag(result.params[:k])
-        b = result.params[k:]
-    else:
+    if mode not in ("matrix", "vector"):
         raise ValueError(f"mode must be 'matrix' or 'vector', got {mode!r}")
-
-    if not result.converged:
-        warnings.warn(
-            f"scaling fit ({mode}) stopped at gradient norm {result.gradient_norm:.2e} "
-            f"after {result.iterations} iterations",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    W, b = fit_multinomial(z, labels, reg, diagonal=mode == "vector", tol=tol, max_iter=max_iter)
     return AffineLogitParams(W=W, b=b)
 
 

@@ -227,8 +227,9 @@ def test_07_gradient_correctness():
         onehot = np.zeros((n, k))
         onehot[np.arange(n), y] = 1.0
         pen_w, pen_b = _penalty_matrices(reg_dir, k)
-        _, grad_z = _value_grad(theta, z, onehot, pen_w, pen_b)
-        fd_z = central_difference(lambda t: _value_grad(t, z, onehot, pen_w, pen_b)[0], theta)
+        full = np.ones((k, k), dtype=bool)
+        _, grad_z = _value_grad(theta, z, onehot, pen_w, pen_b, full)
+        fd_z = central_difference(lambda t: _value_grad(t, z, onehot, pen_w, pen_b, full)[0], theta)
         rel_z = np.max(np.abs(fd_z - grad_z)) / max(1.0, np.max(np.abs(grad_z)))
         worst = max(worst, rel_z)
     assert worst < 1e-5

@@ -408,6 +408,28 @@ class TestInspectCommand:
         out = capsys.readouterr().out
         assert "A (rows):" in out and "interpretation points" in out
 
+    @pytest.mark.parametrize("method", [
+        "dirichlet_l2", "dirichlet_odir", "temperature", "vector_scaling", "matrix_odir",
+        "ovr_isotonic", "ovr_width_bin", "ovr_freq_bin", "ovr_beta", "uncalibrated",
+    ])
+    def test_exit_code_per_method(self, tmp_path, rng, capsys, method):
+        from probcal.models import METHOD_INPUT, fit_calibrator
+
+        q = random_simplex(rng, 60, 3)
+        y = sample_labels_from_rows(rng, q)
+        X = np.log(q) if METHOD_INPUT[method] == "logits" else q
+        model_path = tmp_path / "m.json"
+        cli.save_model(model_path, fit_calibrator(method, X, y, {"lam": 1e-3, "mu": 1e-3, "bins": 5}))
+        rc = cli.main(["inspect", str(model_path), "--format", "json-lines"])
+        out, err = capsys.readouterr()
+        if method in ("dirichlet_l2", "dirichlet_odir", "temperature"):
+            assert rc == 0
+            assert json.loads(out)["method"] == method
+        else:
+            assert rc == 3
+            assert out == ""
+            assert "inspect supports dirichlet_l2, dirichlet_odir and temperature" in err
+
     def test_non_dirichlet_rejected(self, tmp_path, prob_file, capsys):
         path, _, _ = prob_file
         model_path = tmp_path / "iso.json"
@@ -456,6 +478,16 @@ def test_eval_defaults():
     assert args.bins == 15
     assert args.resamples == 10000
     assert args.clip_floor == 2.2e-308
+
+
+def test_fit_method_choices_are_all_methods():
+    from probcal.models import METHODS
+
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    method = next(a for a in sub.choices["fit"]._actions if a.dest == "method")
+    assert tuple(method.choices) == METHODS
+    assert len(METHODS) == 10
 
 
 def test_module_entrypoint_smoke(four_row_file):

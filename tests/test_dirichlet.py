@@ -228,6 +228,24 @@ class TestFit:
             fd = central_difference(value_only, theta0)
             assert np.max(np.abs(fd - grad)) / max(1.0, np.max(np.abs(grad))) < 1e-5
 
+    @pytest.mark.parametrize("reg", [L2Config(0.1), OdirConfig(0.3, 0.2)], ids=["l2", "odir"])
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+    def test_hessian_matches_finite_differences(self, rng, reg, diagonal):
+        from probcal.dirichlet import _hessian, _penalty_matrices, _value_grad
+
+        k = 3
+        feats = rng.normal(size=(40, k))
+        onehot = np.eye(k)[rng.integers(0, k, size=40)]
+        pen_w, pen_b = _penalty_matrices(reg, k)
+        free = np.eye(k, dtype=bool) if diagonal else np.ones((k, k), dtype=bool)
+        theta = rng.normal(scale=0.5, size=np.count_nonzero(free) + k)
+        H = _hessian(theta, feats, pen_w, pen_b, free)
+        fd = np.column_stack([
+            central_difference(lambda t, i=i: _value_grad(t, feats, onehot, pen_w, pen_b, free)[1][i], theta)
+            for i in range(theta.size)
+        ])
+        assert np.max(np.abs(fd - H)) / max(1.0, np.max(np.abs(H))) < 1e-5
+
     def test_gradient_zero_at_optimum(self, rng):
         q = random_simplex(rng, 200, 3)
         y = sample_labels_from_rows(rng, q)

@@ -3,7 +3,7 @@ import pytest
 
 from probcal.core import softmax
 from probcal.harness import HyperGrid, compare_methods, cross_val_fit, stratified_folds
-from probcal.models import EnsembleModel
+from probcal.models import METHOD_INPUT, METHODS, EnsembleModel
 
 from conftest import random_simplex
 from oracles import sample_from_generative, sample_labels_from_rows
@@ -98,6 +98,54 @@ class TestHyperGrid:
 
     def test_parameterless_methods(self):
         assert HyperGrid().points("temperature") == [{}]
+
+    @pytest.mark.parametrize("mus", [(), (0.0, 1.0)], ids=["tied", "decoupled"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_points_for_every_method(self, method, mus):
+        points = HyperGrid(lambdas=(0.1, 0.2), mus=mus, bins=(5, 7)).points(method)
+        assert [list(p.items()) for p in points] == expected_points(method, mus)
+
+
+def expected_points(method, mus):
+    """Grid points as ordered (name, value) lists for lambdas (0.1, 0.2), bins (5, 7)."""
+    if method == "dirichlet_l2":
+        return [[("lam", 0.1)], [("lam", 0.2)]]
+    if method in ("dirichlet_odir", "matrix_odir"):
+        if mus:
+            return [[("lam", l), ("mu", m)] for l in (0.1, 0.2) for m in mus]
+        return [[("lam", 0.1), ("mu", 0.1)], [("lam", 0.2), ("mu", 0.2)]]
+    if method == "vector_scaling":
+        return [[("mu", m)] for m in (mus or (0.0,))]
+    if method in ("ovr_width_bin", "ovr_freq_bin"):
+        return [[("bins", 5)], [("bins", 7)]]
+    return [[]]
+
+
+#: Hyperparameters a method is fitted with when neither a grid nor a value is given.
+DEFAULT_HYPER = {
+    "dirichlet_l2": [("lam", 1e-3)],
+    "dirichlet_odir": [("lam", 1e-3), ("mu", 1e-3)],
+    "temperature": [],
+    "vector_scaling": [("mu", 0.0)],
+    "matrix_odir": [("lam", 1e-3), ("mu", 1e-3)],
+    "ovr_isotonic": [],
+    "ovr_width_bin": [("bins", 5)],
+    "ovr_freq_bin": [("bins", 10)],
+    "ovr_beta": [],
+    "uncalibrated": [],
+}
+
+
+@pytest.mark.parametrize("folds", [1, 2])
+@pytest.mark.parametrize("method", METHODS)
+def test_default_hyperparameters(method, folds, rng):
+    q = random_simplex(rng, 60, 3)
+    y = sample_labels_from_rows(rng, q)
+    X = np.log(q) if METHOD_INPUT[method] == "logits" else q
+    model, hyper, table = cross_val_fit(method, X, y, folds)
+    assert list(hyper.items()) == DEFAULT_HYPER[method]
+    assert list(model.hyperparams.items()) == DEFAULT_HYPER[method]
+    assert len(table) == 1
 
 
 class TestCompareMethods:
