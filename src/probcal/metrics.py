@@ -65,15 +65,63 @@ class ReliabilityBins:
         return rows
 
 
-def _binned(x: np.ndarray, hits: np.ndarray, m: int):
-    idx = _bin_index(x, m)
-    counts = np.bincount(idx, minlength=m).astype(np.int64)
-    sums_x = np.bincount(idx, weights=x, minlength=m)
-    sums_h = np.bincount(idx, weights=hits, minlength=m)
-    with np.errstate(invalid="ignore"):
-        mean_x = np.where(counts > 0, sums_x / np.maximum(counts, 1), np.nan)
-        freq = np.where(counts > 0, sums_h / np.maximum(counts, 1), np.nan)
-    return counts, mean_x, freq
+class _Binning:
+    """Equal-width bins of fixed predictions, against which labels are counted.
+
+    Column j of ``x`` (n, c) holds one predicted probability per row, binned
+    into ``m`` bins. Each bin keeps its row count and mean prediction; what
+    varies is only which rows are hits. With ``target`` None a label l in
+    row i is a hit for column l. Otherwise ``x`` has one column and a label
+    is a hit when it equals ``target`` (per row, or one class for all rows).
+
+    Hits of a whole label block are counted by one ``bincount`` over the key
+    (label column, prediction column, bin); misses go to an overflow key.
+    """
+
+    def __init__(self, x: np.ndarray, m: int, target=None):
+        if m < 1:
+            raise ValueError("bin count must be at least 1")
+        n, c = x.shape
+        self.n, self.m, self.target = n, m, target
+        self.keys = _bin_index(x, m) + m * np.arange(c)
+        flat = self.keys.ravel()
+        self.counts = np.bincount(flat, minlength=c * m).reshape(c, m)
+        sums = np.bincount(flat, weights=x.ravel(), minlength=c * m).reshape(c, m)
+        with np.errstate(invalid="ignore"):
+            self.mean = np.where(self.counts > 0, sums / np.maximum(self.counts, 1), np.nan)
+
+    def hits(self, labels: np.ndarray) -> np.ndarray:
+        """Hit counts of shape (R, c, m) for a label block of shape (n, R)."""
+        size = self.counts.size
+        if self.target is None:
+            keys = np.take_along_axis(self.keys, labels, axis=1)
+        else:
+            keys = np.where(labels == self.target, self.keys, size)
+        n_rows = labels.shape[1]
+        keys += (size + 1) * np.arange(n_rows)
+        flat = np.bincount(keys.ravel(), minlength=n_rows * (size + 1))
+        return flat.reshape(n_rows, size + 1)[:, :size].reshape(n_rows, *self.counts.shape)
+
+    def gaps(self, labels: np.ndarray) -> np.ndarray:
+        """Count-weighted sum over bins of |hit frequency - mean prediction|
+        per label column and prediction column: shape (R, c)."""
+        freq = self.hits(labels) / np.maximum(self.counts, 1)
+        gaps = np.where(self.counts > 0, np.abs(freq - self.mean), 0.0)
+        return (self.counts / self.n * gaps).sum(axis=-1)
+
+    def reliability(self, y: np.ndarray, mode: str, class_index=None) -> ReliabilityBins:
+        """Reliability bins of the single prediction column against labels y."""
+        counts = self.counts[0]
+        with np.errstate(invalid="ignore"):
+            freq = np.where(counts > 0, self.hits(y[:, None])[0, 0] / np.maximum(counts, 1), np.nan)
+        return ReliabilityBins(edges=_bin_edges(self.m), counts=counts,
+                               mean_predicted=self.mean[0], empirical_frequency=freq,
+                               mode=mode, class_index=class_index)
+
+
+def _confidence_binning(p, m: int) -> _Binning:
+    """Rows binned by confidence; a label is a hit when it is the argmax."""
+    return _Binning(p.max(axis=1)[:, None], m, target=p.argmax(axis=1)[:, None])
 
 
 def _checked(p, y):
@@ -85,47 +133,13 @@ def _checked(p, y):
 # The underscored helpers below take already-validated arrays; the public
 # measures validate their inputs and delegate to them.
 
-def _confidence_bins(p, y, m: int) -> ReliabilityBins:
-    if m < 1:
-        raise ValueError("bin count must be at least 1")
-    conf = p.max(axis=1)
-    hits = (p.argmax(axis=1) == y).astype(float)
-    counts, mean_conf, acc = _binned(conf, hits, m)
-    return ReliabilityBins(
-        edges=_bin_edges(m),
-        counts=counts,
-        mean_predicted=mean_conf,
-        empirical_frequency=acc,
-        mode="confidence",
-    )
-
-
-def _classwise_bins(p, y, j: int, m: int) -> ReliabilityBins:
-    if m < 1:
-        raise ValueError("bin count must be at least 1")
-    counts, mean_pred, freq = _binned(p[:, j], (y == j).astype(float), m)
-    return ReliabilityBins(
-        edges=_bin_edges(m),
-        counts=counts,
-        mean_predicted=mean_pred,
-        empirical_frequency=freq,
-        mode="classwise",
-        class_index=j,
-    )
-
-
-def _weighted_gap(bins: ReliabilityBins, n: int) -> float:
-    return float((bins.counts / n * bins.gaps).sum())
-
-
 def _max_gap(bins: ReliabilityBins) -> float:
     gaps = bins.gaps[bins.counts > 0]
     return float(gaps.max()) if gaps.size else 0.0
 
 
 def _classwise_ece(p, y, m: int):
-    n, k = p.shape
-    per_class = np.array([_weighted_gap(_classwise_bins(p, y, j, m), n) for j in range(k)])
+    per_class = _Binning(p, m).gaps(y[:, None])[0]
     return float(per_class.mean()), per_class
 
 
@@ -146,7 +160,8 @@ def _accuracy(p, y) -> float:
 
 def confidence_reliability(p, y, m: int = DEFAULT_BINS) -> ReliabilityBins:
     """Bin rows by confidence (max probability); record accuracy per bin."""
-    return _confidence_bins(*_checked(p, y), m)
+    p, y = _checked(p, y)
+    return _confidence_binning(p, m).reliability(y, "confidence")
 
 
 def classwise_reliability(p, y, j: int, m: int = DEFAULT_BINS) -> ReliabilityBins:
@@ -154,13 +169,13 @@ def classwise_reliability(p, y, j: int, m: int = DEFAULT_BINS) -> ReliabilityBin
     p, y = _checked(p, y)
     if not 0 <= j < p.shape[1]:
         raise ValueError(f"class index {j} out of range")
-    return _classwise_bins(p, y, j, m)
+    return _Binning(p[:, j:j + 1], m, target=j).reliability(y, "classwise", j)
 
 
 def confidence_ece(p, y, m: int = DEFAULT_BINS) -> float:
     """Count-weighted mean |accuracy - confidence| over nonempty bins."""
-    bins = confidence_reliability(p, y, m)
-    return _weighted_gap(bins, int(bins.counts.sum()))
+    p, y = _checked(p, y)
+    return float(_confidence_binning(p, m).gaps(y[:, None])[0, 0])
 
 
 def classwise_ece(p, y, m: int = DEFAULT_BINS):
@@ -261,16 +276,16 @@ def evaluate(p, y, m: int = DEFAULT_BINS, floor: float = DEFAULT_CLIP_FLOOR) -> 
     p, y = _checked(p, y)
     acc = _accuracy(p, y)
     cw, per_class = _classwise_ece(p, y, m)
-    conf_bins = _confidence_bins(p, y, m)
+    conf = _confidence_binning(p, m)
     return EvalReport(
         accuracy=acc,
         error_rate=1.0 - acc,
         log_loss=_log_loss(p, y, floor),
         brier=_brier(p, y),
-        conf_ece=_weighted_gap(conf_bins, p.shape[0]),
+        conf_ece=float(conf.gaps(y[:, None])[0, 0]),
         cw_ece=cw,
         per_class_ece=per_class,
-        mce=_max_gap(conf_bins),
+        mce=_max_gap(conf.reliability(y, "confidence")),
         bins=m,
         n=p.shape[0],
         k=p.shape[1],

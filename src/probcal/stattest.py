@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_label_vector, as_probability_matrix
-from .metrics import DEFAULT_BINS, _bin_index
+from .metrics import DEFAULT_BINS, _Binning, _confidence_binning
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -27,13 +27,20 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _CHUNK = 256
 
 
+def _mix64_inplace(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer applied in place to a uint64 array (modular 2^64)."""
+    x += _GOLDEN
+    x ^= x >> np.uint64(30)
+    x *= _MIX1
+    x ^= x >> np.uint64(27)
+    x *= _MIX2
+    x ^= x >> np.uint64(31)
+    return x
+
+
 def _mix64(x):
-    """splitmix64 finalizer, vectorized over uint64 arrays (modular 2^64)."""
-    with np.errstate(over="ignore"):
-        x = (x + _GOLDEN).astype(np.uint64)
-        x = (x ^ (x >> np.uint64(30))) * _MIX1
-        x = (x ^ (x >> np.uint64(27))) * _MIX2
-        return x ^ (x >> np.uint64(31))
+    """splitmix64 finalizer of a copy of x: uint64 scalar or array."""
+    return _mix64_inplace(np.array(x, dtype=np.uint64))[()]
 
 
 def counter_uniforms(seed: int, resample_indices, row_indices) -> np.ndarray:
@@ -44,9 +51,12 @@ def counter_uniforms(seed: int, resample_indices, row_indices) -> np.ndarray:
     s = np.uint64(seed % (1 << 64))
     r = np.asarray(resample_indices, dtype=np.uint64)
     i = np.asarray(row_indices, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        h = _mix64((_mix64((_mix64(s) + r).astype(np.uint64)) + i).astype(np.uint64))
-    return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    # One uint64 buffer of the broadcast shape; the last round runs in place.
+    h = _mix64_inplace(np.array(_mix64(_mix64(s) + r) + i, dtype=np.uint64))
+    h >>= np.uint64(11)
+    u = h.astype(np.float64)
+    u *= 2.0**-53
+    return u[()]
 
 
 @dataclass
@@ -78,70 +88,43 @@ class TestResult:
 
 
 def _pseudo_labels(cum: np.ndarray, seed: int, resample_indices: np.ndarray) -> np.ndarray:
-    """Pseudo-label block of shape (len(resample_indices), n)."""
+    """Pseudo-label block of shape (n, len(resample_indices)).
+
+    The label of row i in resample r is the number of entries of
+    ``cum[i, :k-1]`` below the uniform u(r, i), i.e. the count of
+    ``cum[i]`` below it clipped to k - 1. Rows of ``cum`` are
+    non-decreasing, so a branchless lower-bound bisection finds it in
+    ceil(log2 k) gathers from the row padded with +inf to a power-of-two
+    width. Each row's resamples sit together, so the gathers stay local.
+    """
     n, k = cum.shape
-    u = counter_uniforms(seed, resample_indices[:, None], np.arange(n)[None, :])
-    draws = (u[:, :, None] > cum[None, :, :]).sum(axis=2)
-    return np.minimum(draws, k - 1)
-
-
-def _conf_machinery(p: np.ndarray, y: np.ndarray, m: int):
-    n = p.shape[0]
-    conf = p.max(axis=1)
-    amax = p.argmax(axis=1)
-    idx = _bin_index(conf, m)
-    membership = np.zeros((n, m))
-    membership[np.arange(n), idx] = 1.0
-    counts = membership.sum(axis=0)
-    nonempty = counts > 0
-    safe = np.maximum(counts, 1.0)
-    mean_conf = (membership * conf[:, None]).sum(axis=0) / safe
-    weights = counts / n
-
-    def statistic(labels_block: np.ndarray) -> np.ndarray:
-        hits = (labels_block == amax).astype(float)
-        acc = (hits @ membership) / safe
-        gaps = np.abs(acc - mean_conf) * nonempty
-        return gaps @ weights
-
-    observed = float(statistic(y[None, :])[0])
-    return observed, statistic
-
-
-def _cw_machinery(p: np.ndarray, y: np.ndarray, m: int):
-    n, k = p.shape
-    memberships, safes, nonempties, mean_preds, weights = [], [], [], [], []
-    for j in range(k):
-        idx = _bin_index(p[:, j], m)
-        mem = np.zeros((n, m))
-        mem[np.arange(n), idx] = 1.0
-        counts = mem.sum(axis=0)
-        memberships.append(mem)
-        safes.append(np.maximum(counts, 1.0))
-        nonempties.append(counts > 0)
-        mean_preds.append((mem * p[:, j][:, None]).sum(axis=0) / np.maximum(counts, 1.0))
-        weights.append(counts / n)
-
-    def statistic(labels_block: np.ndarray) -> np.ndarray:
-        total = np.zeros(labels_block.shape[0])
-        for j in range(k):
-            freq = ((labels_block == j).astype(float) @ memberships[j]) / safes[j]
-            gaps = np.abs(freq - mean_preds[j]) * nonempties[j]
-            total += gaps @ weights[j]
-        return total / k
-
-    observed = float(statistic(y[None, :])[0])
-    return observed, statistic
+    width = 1 << (k - 1).bit_length()
+    table = np.full((n, width), np.inf)
+    table[:, :k - 1] = cum[:, :k - 1]
+    flat = table.ravel()
+    u = counter_uniforms(seed, resample_indices[None, :], np.arange(n)[:, None])
+    row_start = (np.arange(n) * width)[:, None]
+    step = width // 2
+    # probe = row_start + (count found so far) + step - 1; where the probed
+    # entry is below u the count grows by step, then step halves.
+    probe = np.repeat(row_start + (step - 1), u.shape[1], axis=1)
+    while step:
+        probe += (flat[probe] < u) * step - step // 2
+        step //= 2
+    return probe - row_start
 
 
 def _resampled_statistics(p: np.ndarray, statistic_fn, n_resamples: int, seed: int) -> np.ndarray:
-    """Statistic value against pseudo-labels for each resample index."""
+    """Statistic value against pseudo-labels for each resample index.
+
+    ``statistic_fn`` maps an (n, R) label block to R values. Resamples are
+    drawn ``_CHUNK`` at a time, so memory beyond the input is O(chunk * n).
+    """
     cum = np.cumsum(p, axis=1)
     out = np.empty(n_resamples)
     for start in range(0, n_resamples, _CHUNK):
         block = np.arange(start, min(start + _CHUNK, n_resamples))
-        pseudo = _pseudo_labels(cum, seed, block)
-        out[block] = statistic_fn(pseudo)
+        out[block] = statistic_fn(_pseudo_labels(cum, seed, block))
     return out
 
 
@@ -171,11 +154,16 @@ def calibration_test(p, y, statistic: str = "conf_ece", m: int = DEFAULT_BINS,
     if n_resamples < 1:
         raise ValueError("n_resamples must be at least 1")
     if statistic == "conf_ece":
-        observed, stat_fn = _conf_machinery(p, y, m)
+        binning = _confidence_binning(p, m)
     elif statistic == "cw_ece":
-        observed, stat_fn = _cw_machinery(p, y, m)
+        binning = _Binning(p, m)
     else:
         raise ValueError(f"unknown statistic {statistic!r}; use 'conf_ece' or 'cw_ece'")
+
+    def stat_fn(labels):
+        return binning.gaps(labels).mean(axis=1)
+
+    observed = float(stat_fn(y[:, None])[0])
     resampled = _resampled_statistics(p, stat_fn, n_resamples, seed)
     return TestResult.from_statistics(observed, resampled, seed, plus_one=plus_one)
 

@@ -268,9 +268,6 @@ class TestEvalCommand:
     def test_mocked_resample_counts_give_0017(self, four_row_file, capsys, monkeypatch):
         from probcal import stattest
 
-        observed_box = {}
-        real_machinery = stattest._conf_machinery
-
         def fake_resampled(p, stat_fn, n_resamples, seed):
             # 170 of 10000 strictly above any observed statistic in [0, 1].
             return np.concatenate([np.full(170, 2.0), np.full(9830, -1.0)])
@@ -357,6 +354,15 @@ class TestTestCommand:
         assert rec["resamples"] == 200
         assert rec["decision"] in ("accept", "reject")
         assert 0.0 <= rec["p_value"] <= 1.0
+
+    @pytest.mark.parametrize("bins", ["0", "-1"])
+    @pytest.mark.parametrize("statistic", ["conf_ece", "cw_ece"])
+    def test_bin_count_below_one(self, prob_file, capsys, bins, statistic):
+        path, _, _ = prob_file
+        rc = cli.main(["test", str(path), "--statistic", statistic, "--bins", bins,
+                       "--resamples", "20"])
+        assert rc == 3
+        assert "bin count must be at least 1" in capsys.readouterr().err
 
 
 class TestCompareCommand:

@@ -13,6 +13,89 @@ from probcal.stattest import (
 from conftest import random_simplex
 from oracles import sample_labels_from_rows
 
+U64_MAX = 2**64 - 1
+
+# counter_uniforms(seed, r, i) as computed when the generator was first
+# written down; any change here breaks the determinism contract.
+KNOWN_UNIFORMS = [
+    (0, 0, 0, 0.13870941014555427),
+    (1, 2, 3, 0.4175580595044027),
+    (7, 4, 11, 0.537979307794025),
+    (U64_MAX, 0, 0, 0.9844383619111032),
+    (U64_MAX, 2**40, 2**50, 0.24323253038631998),
+    (12345, 999_999, 10**7, 0.041360998506095425),
+    (2**63, U64_MAX, U64_MAX, 0.28467410126637216),
+    (U64_MAX, U64_MAX, 1, 0.2919615213751451),
+]
+
+SMALL_P = np.array([[0.2, 0.5, 0.3], [0.0, 0.0, 1.0], [0.6, 0.4, 0.0],
+                    [1 / 3, 1 / 3, 1 / 3], [0.05, 0.9, 0.05]])
+# Pseudo-labels of SMALL_P, seed 3, resamples 0..3 (one row per resample).
+SMALL_LABELS = [[1, 2, 0, 0, 1], [0, 2, 0, 1, 1], [0, 2, 0, 0, 1], [0, 2, 1, 2, 1]]
+
+# (seed, n, k, m, statistic, p-value, observed statistic) of
+# calibration_test(*battery_data(seed, n, k), statistic, m, 300, seed),
+# recorded from the dense formulation kept below as the reference.
+BATTERY = [
+    (0, 200, 2, 15, "conf_ece", 0.8833333333333333, 0.038438246171158735),
+    (0, 200, 2, 15, "cw_ece", 0.8966666666666666, 0.05666500679902714),
+    (1, 300, 2, 1, "conf_ece", 0.02, 0.0486778498465652),
+    (1, 300, 2, 1, "cw_ece", 0.12, 0.031203866049325873),
+    (2, 400, 3, 15, "conf_ece", 0.86, 0.03822309797178988),
+    (2, 400, 3, 15, "cw_ece", 0.8, 0.0480154984359733),
+    (3, 257, 10, 7, "conf_ece", 0.08333333333333333, 0.06718067277011586),
+    (3, 257, 10, 7, "cw_ece", 0.2, 0.029126989523873048),
+    (4, 500, 100, 15, "conf_ece", 0.09, 0.013548942526547984),
+    (4, 500, 100, 15, "cw_ece", 0.2, 0.0037413921512444554),
+    (5, 500, 100, 1, "conf_ece", 0.15333333333333332, 0.012659616235651552),
+    (5, 500, 100, 1, "cw_ece", 0.49333333333333335, 0.003511594262261909),
+    (6, 300, 7, 15, "conf_ece", 0.20333333333333334, 0.0762210301394302),
+    (6, 300, 7, 15, "cw_ece", 0.64, 0.04422899830205111),
+]
+
+
+def battery_data(seed, n, k):
+    """Predictions and labels built from the counter generator alone, so
+    the battery does not depend on numpy's random streams. Odd seeds draw
+    labels from a sharpened copy of the predictions (miscalibrated)."""
+    u = counter_uniforms(seed, np.arange(k)[None, :] + 1, np.arange(n)[:, None])
+    w = u ** 3
+    p = w / w.sum(axis=1, keepdims=True)
+    sharp = p ** (1.5 if seed % 2 else 1.0)
+    sharp /= sharp.sum(axis=1, keepdims=True)
+    v = counter_uniforms(seed, 0, np.arange(n))
+    y = np.minimum((v[:, None] > np.cumsum(sharp, axis=1)).sum(axis=1), k - 1)
+    return p, y
+
+
+def reference_labels(cum, seed, resample_indices):
+    """Dense pseudo-label draw, shape (R, n): the count of cum entries
+    below each uniform, clipped to the last class."""
+    n, k = cum.shape
+    u = counter_uniforms(seed, resample_indices[:, None], np.arange(n)[None, :])
+    return np.minimum((u[:, :, None] > cum[None, :, :]).sum(axis=2), k - 1)
+
+
+def reference_statistic(p, labels, statistic, m):
+    """Dense binned-gap statistic of each label row of `labels` (R, n): an
+    (n, m) bin-membership matrix per column and one matrix product each."""
+    n, k = p.shape
+    if statistic == "conf_ece":
+        columns = [(p.max(axis=1), labels == p.argmax(axis=1))]
+    else:
+        columns = [(p[:, j], labels == j) for j in range(k)]
+    total = np.zeros(labels.shape[0])
+    for x, hits in columns:
+        idx = np.clip(np.digitize(x, np.arange(m + 1) / m) - 1, 0, m - 1)
+        membership = np.zeros((n, m))
+        membership[np.arange(n), idx] = 1.0
+        counts = membership.sum(axis=0)
+        safe = np.maximum(counts, 1.0)
+        mean = (membership * x[:, None]).sum(axis=0) / safe
+        freq = (hits.astype(float) @ membership) / safe
+        total += (np.abs(freq - mean) * (counts > 0)) @ (counts / n)
+    return total / len(columns)
+
 
 class TestCounterUniforms:
     def test_range_and_determinism(self):
@@ -31,10 +114,102 @@ class TestCounterUniforms:
         b = counter_uniforms(1, np.arange(100), 0)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed,r,i,expected", KNOWN_UNIFORMS)
+    def test_known_answers(self, seed, r, i, expected):
+        assert counter_uniforms(seed, r, i) == expected
+
+    def test_block_matches_known_answers(self):
+        for seed in {s for s, _, _, _ in KNOWN_UNIFORMS}:
+            rows = [(r, i, v) for s, r, i, v in KNOWN_UNIFORMS if s == seed]
+            rs, is_ = (np.array(c, dtype=np.uint64) for c in list(zip(*rows))[:2])
+            block = counter_uniforms(seed, rs[:, None], is_[None, :])
+            assert np.diag(block).tolist() == [v for _, _, v in rows]
+
     def test_roughly_uniform(self):
         u = counter_uniforms(5, np.arange(200)[:, None], np.arange(100)[None, :]).ravel()
         assert abs(u.mean() - 0.5) < 0.01
         assert abs(np.quantile(u, 0.25) - 0.25) < 0.02
+
+
+class TestPseudoLabels:
+    def test_known_first_labels(self):
+        labels = _pseudo_labels(np.cumsum(SMALL_P, axis=1), 3, np.arange(4))
+        assert labels.T.tolist() == SMALL_LABELS
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 64, 100])
+    def test_matches_dense_draw(self, k):
+        rng = np.random.default_rng(k)
+        p = rng.dirichlet(np.full(k, 0.5), size=300)
+        p[rng.random((300, k)) < 0.3] = 0.0          # flat runs in cum
+        p[:, 0] += (p.sum(axis=1) == 0)
+        p /= p.sum(axis=1, keepdims=True)
+        cum = np.cumsum(p, axis=1)
+        idx = np.arange(17, 57)
+        assert np.array_equal(_pseudo_labels(cum, 11, idx).T, reference_labels(cum, 11, idx))
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 64, 100])
+    def test_last_cum_below_one(self, k):
+        # Rounding can leave the last cumulative sum a few ulps below 1, so a
+        # uniform may exceed every entry and the draw returns the last class.
+        # Scaling cum down makes that case common.
+        rng = np.random.default_rng(100 + k)
+        p = rng.dirichlet(np.ones(k), size=200)
+        cum = np.cumsum(p, axis=1) * rng.uniform(0.5, 1.0, size=(200, 1))
+        idx = np.arange(30)
+        labels = _pseudo_labels(cum, 5, idx)
+        assert np.array_equal(labels.T, reference_labels(cum, 5, idx))
+        assert np.any(labels == k - 1)
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 64, 100])
+    def test_uniform_equal_to_cum_entry(self, k):
+        # Row i puts its resample-0 uniform exactly at cum[i, t] after t zero
+        # entries: an entry equal to the uniform is not below it.
+        n = 50
+        u = counter_uniforms(2, 0, np.arange(n))
+        p = np.zeros((n, k))
+        t = np.arange(n) % (k - 1)
+        p[np.arange(n), t] = u
+        p[:, -1] = 1.0 - u
+        cum = np.cumsum(p, axis=1)
+        assert np.all(cum[np.arange(n), t] == u)
+        labels = _pseudo_labels(cum, 2, np.arange(3))
+        assert np.array_equal(labels.T, reference_labels(cum, 2, np.arange(3)))
+        assert np.array_equal(labels[:, 0], t)
+
+    @pytest.mark.parametrize("n_resamples", [1, 255, 256, 257])
+    def test_resample_counts_around_chunk(self, n_resamples):
+        rng = np.random.default_rng(n_resamples)
+        p = random_simplex(rng, 40, 5)
+        cum = np.cumsum(p, axis=1)
+        idx = np.arange(200, 200 + n_resamples)
+        labels = _pseudo_labels(cum, 8, idx)
+        assert labels.shape == (40, n_resamples)
+        assert np.array_equal(labels.T, reference_labels(cum, 8, idx))
+
+    @pytest.mark.parametrize("n_resamples", [1, 255, 256, 257])
+    @pytest.mark.parametrize("statistic", ["conf_ece", "cw_ece"])
+    def test_statistics_around_chunk(self, n_resamples, statistic):
+        rng = np.random.default_rng(n_resamples)
+        p = random_simplex(rng, 40, 5)
+        y = rng.integers(0, 5, size=40)
+        result = calibration_test(p, y, statistic, 6, n_resamples, seed=8)
+        labels = reference_labels(np.cumsum(p, axis=1), 8, np.arange(n_resamples))
+        np.testing.assert_allclose(result.resampled_statistics,
+                                   reference_statistic(p, labels, statistic, 6),
+                                   rtol=0, atol=1e-15)
+
+
+class TestBattery:
+    @pytest.mark.parametrize("seed,n,k,m,statistic,p_value,observed", BATTERY)
+    def test_matches_dense_formulation(self, seed, n, k, m, statistic, p_value, observed):
+        p, y = battery_data(seed, n, k)
+        result = calibration_test(p, y, statistic, m, 300, seed=seed)
+        assert result.p_value == p_value
+        assert result.observed_statistic == pytest.approx(observed, rel=0, abs=1e-15)
+        labels = reference_labels(np.cumsum(p, axis=1), seed, np.arange(300))
+        np.testing.assert_allclose(result.resampled_statistics,
+                                   reference_statistic(p, labels, statistic, m),
+                                   rtol=0, atol=1e-15)
 
 
 class TestFromStatistics:
@@ -100,13 +275,20 @@ class TestCalibrationTest:
             result = calibration_test(p, y, statistic, 8, 6, seed=4)
             cum = np.cumsum(p, axis=1)
             pseudo = _pseudo_labels(cum, 4, np.arange(6))
-            expected = [metric(p, pseudo[r]) for r in range(6)]
+            expected = [metric(p, pseudo[:, r]) for r in range(6)]
             np.testing.assert_allclose(result.resampled_statistics, expected, atol=1e-12)
 
     def test_rejects_unknown_statistic(self, rng):
         p = random_simplex(rng, 10, 2)
         with pytest.raises(ValueError, match="statistic"):
             calibration_test(p, np.array([0, 1] * 5), "brier", 10, 10)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    @pytest.mark.parametrize("statistic", ["conf_ece", "cw_ece"])
+    def test_rejects_bin_count_below_one(self, rng, m, statistic):
+        p = random_simplex(rng, 10, 3)
+        with pytest.raises(ValueError, match="bin count must be at least 1"):
+            calibration_test(p, np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0]), statistic, m, 10)
 
     def test_rejects_zero_resamples(self, rng):
         p = random_simplex(rng, 10, 2)
