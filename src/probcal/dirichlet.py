@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import ROW_SUM_TOL, log_transform, softmax
-from .optim import minimize
+from .optim import DENSE_NEWTON_MAX_DIM, minimize
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +302,58 @@ def _hessian(theta, feats, pen_w, pen_b, free):
     return H
 
 
+class _HessianOperator:
+    """The Hessian of ``_value_grad`` at theta, applied as products.
+
+    ``matvec(v)`` is H v = [X' R / n, 1' R / n] + 2 pen * v with
+    U = X V' + v_b and R = P*U - P*rowsum(P*U), where (V, v_b) unpacks v:
+    O(n k^2) per product, where the dense ``_hessian`` costs O(n k^4).
+    ``precondition`` applies the inverse of the Hessian's block diagonal
+    (block-Jacobi): block a couples class a's parameters (free W[a, :],
+    b_a) and equals G_a' diag(P_a (1 - P_a)) G_a / n plus their penalty,
+    where G_a holds the columns of [X, 1] those parameters multiply.
+    """
+
+    def __init__(self, theta, feats, pen_w, pen_b, free):
+        n, k = feats.shape
+        W, b = _unpack(theta, free)
+        self.feats, self.free = feats, free
+        self.probs = softmax(feats @ W.T + b, axis=1)
+        self.pen = 2.0 * np.concatenate([pen_w[free], pen_b])
+        m = np.count_nonzero(free)
+        #: Row a: the positions of class a's parameters in theta.
+        self.index = np.column_stack([np.arange(m).reshape(k, -1), m + np.arange(k)])
+        # Rows of faug_t are the columns of [feats, 1]; G_a' diag(w) G_a is
+        # formed as S S' with S = G_a' diag(sqrt(w)), a symmetric BLAS product.
+        faug_t = np.vstack([feats.T, np.ones(n)])
+        cols = np.column_stack([free, np.ones(k, dtype=bool)])
+        root_weights = np.sqrt(self.probs * (1.0 - self.probs) / n)
+        width = self.index.shape[1]
+        self.blocks = np.empty((k, width, width))
+        for a in range(k):
+            S = (faug_t if cols[a].all() else faug_t[cols[a]]) * root_weights[:, a]
+            self.blocks[a] = S @ S.T
+        self.blocks[:, np.arange(width), np.arange(width)] += self.pen[self.index]
+        # A ridge of 1e-10 times the block's mean diagonal keeps the inverse
+        # bounded where a class's features are collinear (centred logits,
+        # say) and its block is singular or nearly so.
+        scale = np.trace(self.blocks, axis1=1, axis2=2) / width
+        ridge = 1e-10 * np.where(scale > 0.0, scale, 1.0)
+        self._inverse = np.linalg.inv(self.blocks + ridge[:, None, None] * np.eye(width))
+
+    def matvec(self, v):
+        n = self.feats.shape[0]
+        V, vb = _unpack(v, self.free)
+        PU = self.probs * (self.feats @ V.T + vb)
+        R = (PU - self.probs * PU.sum(axis=1, keepdims=True)) / n
+        return np.concatenate([(R.T @ self.feats)[self.free], R.sum(axis=0)]) + self.pen * v
+
+    def precondition(self, r):
+        z = np.empty_like(r)
+        z[self.index] = (self._inverse @ r[self.index][:, :, None])[:, :, 0]
+        return z
+
+
 def _prepare(feats, labels):
     """Feature rows as a 2-d array, and the one-hot matrix of checked labels."""
     feats = np.atleast_2d(feats)
@@ -337,6 +389,11 @@ def fit_multinomial(feats, labels, reg, diagonal: bool = False,
     (vector scaling); otherwise every entry of W is free; b is always free.
     Starts from W = I, b = 0 and returns the fitted ``(W, b)``, warning if
     the fit did not converge.
+
+    Newton steps use the dense Hessian up to ``DENSE_NEWTON_MAX_DIM``
+    parameters and the Hessian operator (Newton-CG) above it. Diagonal W
+    always uses the dense Hessian: an operator product costs O(n k^2) for
+    either structure, as much as the whole dense Hessian of 2k parameters.
     """
     feats, onehot = _prepare(feats, labels)
     n, k = onehot.shape
@@ -346,10 +403,13 @@ def fit_multinomial(feats, labels, reg, diagonal: bool = False,
         raise ValueError("labels contain a single class; nothing to fit")
     pen_w, pen_b = _penalty_matrices(reg, k)
     free = np.eye(k, dtype=bool) if diagonal else np.ones((k, k), dtype=bool)
+    theta0 = np.concatenate([np.eye(k)[free], np.zeros(k)])
+    dense = diagonal or theta0.size <= DENSE_NEWTON_MAX_DIM
+    hessian = _hessian if dense else _HessianOperator
     result = minimize(
         lambda t: _value_grad(t, feats, onehot, pen_w, pen_b, free),
-        np.concatenate([np.eye(k)[free], np.zeros(k)]),
-        hess=lambda t: _hessian(t, feats, pen_w, pen_b, free),
+        theta0,
+        hess=lambda t: hessian(t, feats, pen_w, pen_b, free),
         tol=tol,
         max_iter=max_iter,
     )

@@ -1,8 +1,11 @@
 """Deterministic convex minimization used by the fitted calibrators.
 
-Two routines: a multivariate descent with optional Newton steps and Armijo
-backtracking, and a bounded golden-section search for one-dimensional
-problems. Both are free of randomness, so repeated runs on identical inputs
+Two routines: a multivariate descent with Armijo backtracking, and a
+bounded golden-section search for one-dimensional problems. The descent
+takes Newton steps when given the Hessian, either as a dense matrix (solved
+by Cholesky) or as an operator (solved by truncated preconditioned
+conjugate gradients, Nocedal & Wright ch. 7), and gradient steps otherwise.
+Both routines are free of randomness, so repeated runs on identical inputs
 produce bit-identical results.
 """
 
@@ -16,8 +19,13 @@ import scipy.linalg
 ARMIJO_C = 1e-4
 #: Backtracking shrink factor for the line search.
 BACKTRACK = 0.5
-#: Newton steps are attempted only up to this parameter dimension.
-NEWTON_DIM_LIMIT = 2500
+#: Parameter count up to which the multinomial fits pass a dense Hessian
+#: (Cholesky Newton) and above which a Hessian operator (Newton-CG). The
+#: dense Hessian of d parameters costs O(n d^2 + d^3) per step, an operator
+#: product O(n d). Measured crossover with full W on one core: dense vs CG
+#: at n = 3333 was 89 vs 94 ms for k = 15 (240 parameters) and 188 vs
+#: 118 ms for k = 18 (342).
+DENSE_NEWTON_MAX_DIM = 300
 
 _MAX_BACKTRACKS = 60
 _JITTERS = (1e-10, 1e-8, 1e-6, 1e-4)
@@ -62,6 +70,38 @@ def _newton_direction(hessian: np.ndarray, grad: np.ndarray) -> Optional[np.ndar
     return None
 
 
+def _cg_direction(op, grad: np.ndarray) -> np.ndarray:
+    """Approximately solve H d = -g by preconditioned conjugate gradients.
+
+    ``op.matvec(v)`` gives H v and ``op.precondition(r)`` an approximation
+    of H^-1 r. The solve stops once the residual falls below eta * ||g||
+    (2-norms) with the forcing term eta = min(0.5, sqrt(||g||)), which
+    gives superlinear convergence of the outer iteration, or on
+    non-positive curvature, returning the iterate so far (-g if none).
+    """
+    gnorm = float(np.linalg.norm(grad))
+    target = min(0.5, np.sqrt(gnorm)) * gnorm
+    d = np.zeros_like(grad)
+    r = -grad
+    z = op.precondition(r)
+    p = z
+    rz = float(r @ z)
+    for j in range(grad.size):
+        hp = op.matvec(p)
+        curvature = float(p @ hp)
+        if curvature <= 0.0:
+            return d if j else -grad
+        alpha = rz / curvature
+        d = d + alpha * p
+        r = r - alpha * hp
+        if np.linalg.norm(r) <= target:
+            break
+        z = op.precondition(r)
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+    return d
+
+
 def minimize(
     fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
     x0,
@@ -78,9 +118,12 @@ def minimize(
     x0 : array_like
         Starting point.
     hess : callable, optional
-        Maps a parameter vector to the Hessian matrix. When given and the
-        dimension is at most ``NEWTON_DIM_LIMIT``, Newton steps are used;
-        otherwise plain gradient steps.
+        Maps a parameter vector to its Hessian, either a dense 2-d array or
+        an operator with methods ``matvec(v)`` (returns H v) and
+        ``precondition(r)`` (approximates H^-1 r). A dense Hessian gives
+        Newton steps solved by Cholesky; an operator gives Newton steps
+        solved by truncated preconditioned conjugate gradients. Without
+        ``hess`` the steps follow the negative gradient.
     tol : float
         Convergence threshold on the gradient infinity-norm.
     max_iter : int
@@ -90,15 +133,15 @@ def minimize(
     -----
     Every accepted step satisfies the Armijo condition with constant
     ``ARMIJO_C``, so the objective is non-increasing across iterations.
-    If a Newton solve fails (Hessian not positive definite) the step falls
-    back to the negative gradient.
+    If a Newton solve fails (dense Hessian not positive definite even with
+    jitter) or returns no descent direction, the step falls back to the
+    negative gradient.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     x = np.asarray(x0, dtype=float).copy()
     if x.ndim != 1:
         x = x.ravel()
-    use_newton = hess is not None and x.size <= NEWTON_DIM_LIMIT
 
     value, grad = fun(x)
     if not (np.isfinite(value) and np.all(np.isfinite(grad))):
@@ -110,8 +153,10 @@ def minimize(
         if gnorm <= tol:
             break
         direction = None
-        if use_newton:
-            direction = _newton_direction(hess(x), grad)
+        if hess is not None:
+            h = hess(x)
+            solve = _newton_direction if isinstance(h, np.ndarray) else _cg_direction
+            direction = solve(h, grad)
         if direction is None or float(direction @ grad) >= 0.0:
             direction = -grad
 

@@ -139,7 +139,10 @@ def fit_affine_logit(z, labels, mode: str = "matrix",
         Off-diagonal weight ``lam`` and intercept weight ``mu``.
 
     Both modes start from the identity (W = I, b = 0) and use Newton steps
-    with a backtracking line search.
+    with a backtracking line search (``dirichlet.fit_multinomial``):
+    vector scaling, and matrix scaling up to k = 16, solve each step with
+    the dense Hessian; larger matrix-scaling fits use Newton-CG on
+    Hessian-vector products.
     """
     z = as_logit_matrix(z)
     if mode not in ("matrix", "vector"):

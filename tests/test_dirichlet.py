@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,58 @@ class TestFit:
             for i in range(theta.size)
         ])
         assert np.max(np.abs(fd - H)) / max(1.0, np.max(np.abs(H))) < 1e-5
+
+    @staticmethod
+    def _dense_and_operator(rng, reg, diagonal, k=4, n=50):
+        from probcal.dirichlet import _hessian, _HessianOperator, _penalty_matrices
+
+        feats = rng.normal(size=(n, k))
+        pen_w, pen_b = _penalty_matrices(reg, k)
+        free = np.eye(k, dtype=bool) if diagonal else np.ones((k, k), dtype=bool)
+        theta = rng.normal(scale=0.5, size=np.count_nonzero(free) + k)
+        args = (theta, feats, pen_w, pen_b, free)
+        return _hessian(*args), _HessianOperator(*args)
+
+    @pytest.mark.parametrize("reg", [L2Config(0.1), OdirConfig(0.3, 0.2)], ids=["l2", "odir"])
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+    def test_hessian_operator_matches_dense(self, rng, reg, diagonal):
+        H, op = self._dense_and_operator(rng, reg, diagonal)
+        for _ in range(5):
+            v = rng.normal(size=H.shape[0])
+            want = H @ v
+            assert np.max(np.abs(op.matvec(v) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("reg", [L2Config(0.1), OdirConfig(0.3, 0.2)], ids=["l2", "odir"])
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+    def test_preconditioner_blocks_are_dense_class_blocks(self, rng, reg, diagonal):
+        H, op = self._dense_and_operator(rng, reg, diagonal)
+        k = op.blocks.shape[0]
+        # Every parameter sits in exactly one class block.
+        assert np.array_equal(np.sort(op.index.ravel()), np.arange(H.shape[0]))
+        r = rng.normal(size=H.shape[0])
+        z = op.precondition(r)
+        for a in range(k):
+            block = H[np.ix_(op.index[a], op.index[a])]
+            assert np.max(np.abs(op.blocks[a] - block)) <= 1e-12 * np.max(np.abs(block))
+            # precondition() solves with the block plus a 1e-10 relative ridge.
+            np.testing.assert_allclose(z[op.index[a]], np.linalg.solve(block, r[op.index[a]]),
+                                       rtol=1e-6)
+
+    def test_fit_past_dense_newton_limit_converges(self, rng):
+        # k = 50 has 2550 parameters, where gradient steps once stalled near
+        # a gradient norm of 1e-2; Newton-CG must reach tol without warning.
+        from probcal.optim import DENSE_NEWTON_MAX_DIM
+
+        k = 50
+        assert k * k + k > DENSE_NEWTON_MAX_DIM
+        q = random_simplex(rng, 1000, k, concentration=0.5)
+        y = sample_labels_from_rows(rng, q)
+        reg = OdirConfig(1e-3, 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fitted = fit(q, y, reg, tol=1e-8)
+        _, grad = objective_and_gradient(fitted, q, y, reg)
+        assert np.max(np.abs(grad)) <= 1e-8
 
     def test_gradient_zero_at_optimum(self, rng):
         q = random_simplex(rng, 200, 3)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from probcal.optim import OptimizationError, minimize, minimize_scalar
+from probcal.optim import DENSE_NEWTON_MAX_DIM, OptimizationError, minimize, minimize_scalar
 
 
 def quadratic_1d(x):
@@ -56,6 +56,48 @@ class TestMinimize:
             assert res.converged
             assert res.iterations <= 2
             np.testing.assert_allclose(res.params, target, atol=1e-6)
+
+    def test_newton_cg_on_random_quadratic_above_crossover(self, rng):
+        d = DENSE_NEWTON_MAX_DIM + 50
+        root = rng.normal(size=(d, d))
+        H = root @ root.T / d + np.diag(rng.uniform(0.5, 5.0, size=d))
+        target = rng.normal(size=d)
+
+        def fun(x):
+            diff = x - target
+            return 0.5 * float(diff @ H @ diff), H @ diff
+
+        products = []
+
+        class Operator:
+            def matvec(self, v):
+                products.append(1)
+                return H @ v
+
+            def precondition(self, r):
+                return r / np.diag(H)
+
+        res = minimize(fun, np.zeros(d), hess=lambda x: Operator(), tol=1e-8)
+        assert res.converged
+        assert res.gradient_norm <= 1e-8
+        np.testing.assert_allclose(res.params, target, atol=1e-6)
+        # Newton-CG, not gradient steps: few outer steps, few products each.
+        assert res.iterations <= 20
+        assert len(products) < 20 * d
+
+    def test_newton_cg_negative_curvature_falls_back_to_gradient(self):
+        # An operator reporting negative curvature gives no Newton step; the
+        # descent still converges through negative-gradient steps.
+        class Wrong:
+            def matvec(self, v):
+                return -v
+
+            def precondition(self, r):
+                return r
+
+        res = minimize(separable, [0.0, 0.0], hess=lambda x: Wrong(), max_iter=2000)
+        assert res.converged
+        np.testing.assert_allclose(res.params, [1.0, -2.0], atol=1e-6)
 
     def test_objective_non_increasing(self):
         values = []

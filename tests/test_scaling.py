@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,22 @@ class TestFitAffineLogit:
         _, grad = _value_grad(theta, z, onehot, pen_w, pen_b, diagonal)
         fd = central_difference(lambda t: _value_grad(t, z, onehot, pen_w, pen_b, diagonal)[0], theta)
         assert np.max(np.abs(fd - grad)) / max(1.0, np.max(np.abs(grad))) < 1e-5
+
+    def test_matrix_on_centred_logits_past_dense_newton_limit(self, rng):
+        # Rows of centred logits sum to zero, so the features [z, 1] of each
+        # class are collinear and every block of the Newton-CG
+        # preconditioner is singular; the fit must still converge quickly.
+        from probcal.optim import DENSE_NEWTON_MAX_DIM
+
+        k = 20
+        assert k * k + k > DENSE_NEWTON_MAX_DIM
+        z = rng.normal(size=(1000, k)) * 1.5
+        z -= z.mean(axis=1, keepdims=True)
+        y = sample_labels_from_rows(rng, softmax(z, axis=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fitted = fit_affine_logit(z, y, mode="matrix", reg=OdirConfig(0.0, 0.0), max_iter=25)
+        assert np.max(np.abs(fitted.W)) < 5.0
 
     def test_rejects_bad_mode(self, rng):
         z = rng.normal(size=(10, 2))
