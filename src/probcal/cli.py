@@ -261,12 +261,23 @@ def _fixed_hyper(args):
     return hyper
 
 
-def _require_kind(method, kind):
-    need = METHOD_INPUT[method]
-    if need != kind:
-        raise ValueError(
-            f"method {method} needs {need} input, file contains {kind}"
-        )
+def _read_labelled(args):
+    """Read ``args.input``, check its kind and map its labels via ``--labels``.
+
+    ``fit`` needs the input kind of ``--method``, ``compare`` takes either
+    kind and every other command needs probabilities. Returns
+    ``(X, kind, y, label_names)``.
+    """
+    X, kind, raw_labels = read_predictions(args.input)
+    if args.command == "fit":
+        need = METHOD_INPUT[args.method]
+        if need != kind:
+            raise ValueError(f"method {args.method} needs {need} input, file contains {kind}")
+    elif args.command != "compare" and kind != PROBABILITIES:
+        raise ValueError(f"{args.command} expects probability inputs (p_0..)")
+    explicit = args.labels.split(",") if args.labels else None
+    y, names = build_label_mapping(raw_labels, X.shape[1], explicit)
+    return X, kind, y, names
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +285,7 @@ def _require_kind(method, kind):
 # ---------------------------------------------------------------------------
 
 def cmd_fit(args) -> int:
-    X, kind, raw_labels = read_predictions(args.input)
-    _require_kind(args.method, kind)
-    k = X.shape[1]
-    explicit = args.labels.split(",") if args.labels else None
-    y, names = build_label_mapping(raw_labels, k, explicit)
+    X, _, y, names = _read_labelled(args)
     if X.shape[0] < args.folds:
         raise ValueError(f"need at least {args.folds} rows for {args.folds} folds")
     grid = _parse_grid(args.grid, args.decouple_mu) if args.grid else None
@@ -309,11 +316,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    X, kind, raw_labels = read_predictions(args.input)
-    if kind != PROBABILITIES:
-        raise ValueError("eval expects probability inputs (p_0..)")
-    y, _ = build_label_mapping(raw_labels, X.shape[1],
-                               args.labels.split(",") if args.labels else None)
+    X, _, y, _ = _read_labelled(args)
     report = evaluate(X, y, args.bins, args.clip_floor)
     if args.resamples > 0:
         conf_t = calibration_test(X, y, "conf_ece", args.bins, args.resamples, args.seed)
@@ -327,11 +330,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    X, kind, raw_labels = read_predictions(args.input)
-    if kind != PROBABILITIES:
-        raise ValueError("diagram expects probability inputs (p_0..)")
-    y, _ = build_label_mapping(raw_labels, X.shape[1],
-                               args.labels.split(",") if args.labels else None)
+    X, _, y, _ = _read_labelled(args)
     if args.mode == "confidence":
         bins_list = [confidence_reliability(X, y, args.bins)]
     else:
@@ -352,11 +351,7 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_test(args) -> int:
-    X, kind, raw_labels = read_predictions(args.input)
-    if kind != PROBABILITIES:
-        raise ValueError("test expects probability inputs (p_0..)")
-    y, _ = build_label_mapping(raw_labels, X.shape[1],
-                               args.labels.split(",") if args.labels else None)
+    X, _, y, _ = _read_labelled(args)
     result = calibration_test(X, y, args.statistic, args.bins, args.resamples,
                               args.seed, plus_one=args.plus_one)
     record = {
@@ -373,9 +368,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    X, kind, raw_labels = read_predictions(args.input)
-    y, _ = build_label_mapping(raw_labels, X.shape[1],
-                               args.labels.split(",") if args.labels else None)
+    X, kind, y, _ = _read_labelled(args)
     if args.methods:
         methods = [m.strip() for m in args.methods.split(",")]
         for m in methods:

@@ -16,11 +16,11 @@ with map application, penalized maximum-likelihood fitting, and the k+1
 interpretation points of the canonical form.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import ROW_SUM_TOL, log_transform, softmax
 from .optim import DENSE_NEWTON_MAX_DIM, minimize
@@ -187,9 +187,12 @@ def apply_generative(q, params: GenerativeParams) -> np.ndarray:
     return out[0] if single else out
 
 
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
+
+
 def _log_beta(alpha: np.ndarray) -> np.ndarray:
-    """Log multivariate beta function of each row."""
-    return gammaln(alpha).sum(axis=-1) - gammaln(alpha.sum(axis=-1))
+    """Log multivariate beta function of each row (entries must be positive)."""
+    return _lgamma(alpha).sum(axis=-1) - _lgamma(alpha.sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------

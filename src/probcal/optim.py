@@ -2,9 +2,10 @@
 
 Two routines: a multivariate descent with Armijo backtracking, and a
 bounded golden-section search for one-dimensional problems. The descent
-takes Newton steps when given the Hessian, either as a dense matrix (solved
-by Cholesky) or as an operator (solved by truncated preconditioned
-conjugate gradients, Nocedal & Wright ch. 7), and gradient steps otherwise.
+takes Newton steps when given the Hessian, either as a dense matrix (tested
+for positive definiteness by Cholesky, solved by LU) or as an operator
+(solved by truncated preconditioned conjugate gradients, Nocedal & Wright
+ch. 7), and gradient steps otherwise.
 Both routines are free of randomness, so repeated runs on identical inputs
 produce bit-identical results.
 """
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 #: Armijo sufficient-decrease constant.
 ARMIJO_C = 1e-4
@@ -23,8 +23,8 @@ BACKTRACK = 0.5
 #: (Cholesky Newton) and above which a Hessian operator (Newton-CG). The
 #: dense Hessian of d parameters costs O(n d^2 + d^3) per step, an operator
 #: product O(n d). Measured crossover with full W on one core: dense vs CG
-#: at n = 3333 was 89 vs 94 ms for k = 15 (240 parameters) and 188 vs
-#: 118 ms for k = 18 (342).
+#: at n = 3333 was 92 vs 108 ms for k = 15 (240 parameters), 133 vs 97 ms
+#: for k = 16 (272) and 200 vs 114 ms for k = 18 (342).
 DENSE_NEWTON_MAX_DIM = 300
 
 _MAX_BACKTRACKS = 60
@@ -52,10 +52,12 @@ class OptimResult:
 
 
 def _newton_direction(hessian: np.ndarray, grad: np.ndarray) -> Optional[np.ndarray]:
-    """Solve H d = -g by Cholesky, retrying with diagonal jitter.
+    """Solve H d = -g, retrying with diagonal jitter.
 
-    Returns None when the Hessian cannot be factored even after jitter
-    (caller falls back to a gradient step).
+    A Cholesky factorization tests H (plus jitter) for positive
+    definiteness; the system is then solved by LU. Returns None when the
+    Hessian cannot be factored even after jitter (caller falls back to a
+    gradient step).
     """
     diag_scale = float(np.mean(np.abs(np.diag(hessian))))
     if not np.isfinite(diag_scale) or diag_scale == 0.0:
@@ -63,9 +65,9 @@ def _newton_direction(hessian: np.ndarray, grad: np.ndarray) -> Optional[np.ndar
     for jitter in (0.0,) + _JITTERS:
         try:
             h = hessian if jitter == 0.0 else hessian + (jitter * diag_scale) * np.eye(len(grad))
-            c, low = scipy.linalg.cho_factor(h, check_finite=False)
-            return scipy.linalg.cho_solve((c, low), -grad, check_finite=False)
-        except (scipy.linalg.LinAlgError, ValueError):
+            np.linalg.cholesky(h)
+            return np.linalg.solve(h, -grad)
+        except np.linalg.LinAlgError:
             continue
     return None
 
@@ -121,8 +123,8 @@ def minimize(
         Maps a parameter vector to its Hessian, either a dense 2-d array or
         an operator with methods ``matvec(v)`` (returns H v) and
         ``precondition(r)`` (approximates H^-1 r). A dense Hessian gives
-        Newton steps solved by Cholesky; an operator gives Newton steps
-        solved by truncated preconditioned conjugate gradients. Without
+        Newton steps (Cholesky test, LU solve); an operator gives Newton
+        steps solved by truncated preconditioned conjugate gradients. Without
         ``hess`` the steps follow the negative gradient.
     tol : float
         Convergence threshold on the gradient infinity-norm.

@@ -130,6 +130,22 @@ class TestConversions:
         with pytest.raises(ValueError):
             from_generative(gen)
 
+    def test_log_beta_closed_forms(self):
+        from probcal.dirichlet import _log_beta
+
+        def log_factorial(n):
+            return math.fsum(math.log(j) for j in range(2, n + 1))
+
+        alpha = np.array([[2.0, 3.0], [0.5, 0.5], [1e4, 1e4], [1e4, 2e4 + 7.0]])
+        expected = [-math.log(12.0), math.log(math.pi)]
+        for a, b in alpha[2:].astype(int):
+            # B(a, b) = (a-1)! (b-1)! / (a+b-1)! for positive integers.
+            expected.append(
+                log_factorial(a - 1) + log_factorial(b - 1) - log_factorial(a + b - 1)
+            )
+        np.testing.assert_allclose(_log_beta(alpha), expected, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(_log_beta(alpha[0]), expected[0], rtol=0, atol=1e-9)
+
     def test_to_canonical_identity(self):
         can = to_canonical(LinearParams(W=np.eye(3), b=np.zeros(3)))
         np.testing.assert_allclose(can.A, np.eye(3), atol=1e-15)

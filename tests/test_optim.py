@@ -57,6 +57,35 @@ class TestMinimize:
             assert res.iterations <= 2
             np.testing.assert_allclose(res.params, target, atol=1e-6)
 
+    def test_newton_singular_psd_hessian_uses_jitter(self):
+        # f = 2 (x0 + x1 - 1)^2 + 10 (x2 - 2)^2 has a singular PSD Hessian
+        # whose Cholesky meets an exact zero pivot, so the step comes from
+        # the jitter retry; gradient steps need many more iterations.
+        def fun(x):
+            s = x[0] + x[1] - 1.0
+            value = 2.0 * s ** 2 + 10.0 * (x[2] - 2.0) ** 2
+            return value, np.array([4.0 * s, 4.0 * s, 20.0 * (x[2] - 2.0)])
+
+        H = np.array([[4.0, 4.0, 0.0], [4.0, 4.0, 0.0], [0.0, 0.0, 20.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(H)
+        res = minimize(fun, [0.3, -2.0, 0.0], hess=lambda x: H)
+        assert res.converged
+        assert res.iterations <= 2
+        assert abs(res.params[0] + res.params[1] - 1.0) < 1e-8
+        assert abs(res.params[2] - 2.0) < 1e-8
+        assert minimize(fun, [0.3, -2.0, 0.0]).iterations > 2
+
+    def test_newton_negative_definite_hessian_falls_back_to_gradient(self):
+        # No jitter makes -H positive definite: every step is the negative
+        # gradient, so the run repeats the gradient-only run exactly.
+        res = minimize(separable, [0.0, 0.0], hess=lambda x: -np.diag([2.0, 20.0]))
+        plain = minimize(separable, [0.0, 0.0])
+        assert res.converged
+        np.testing.assert_allclose(res.params, [1.0, -2.0], atol=1e-6)
+        np.testing.assert_array_equal(res.params, plain.params)
+        assert res.iterations == plain.iterations > 2
+
     def test_newton_cg_on_random_quadratic_above_crossover(self, rng):
         d = DENSE_NEWTON_MAX_DIM + 50
         root = rng.normal(size=(d, d))
