@@ -10,7 +10,8 @@ dictionary recorded in the model file.
 
 Model files are versioned JSON documents carrying the method tag, the
 parameter arrays at full precision, the label dictionary, and the fit
-metadata (hyperparameters, seed, timestamp).
+metadata (hyperparameters, seed, timestamp). Isotonic maps are stored as
+one breakpoint per block of equal values.
 
 Exit codes: 0 success, 2 parse error, 3 validation error, 4 fit failure.
 """
@@ -45,58 +46,77 @@ class ParseError(Exception):
 # Prediction files
 # ---------------------------------------------------------------------------
 
+#: Rows of the first buffer that ``read_predictions`` parses into.
+_INITIAL_ROWS = 1024
+
+
 def read_predictions(path):
     """Read a prediction CSV.
 
-    Returns ``(X, kind, raw_labels)`` where ``raw_labels`` is a list of
-    strings or None when the file has no label column.
+    Returns ``(X, kind, raw_labels)`` where ``X`` is an (n, k) float64 array
+    and ``raw_labels`` is a list of strings or None when the file has no
+    label column. Rows are parsed as they are read, each field by Python's
+    ``float``, into one buffer that doubles when full; no per-row lists are
+    kept. Blank lines are skipped; an error names the row's line number.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            return _parse_predictions(path, csv.reader(fh))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+
+
+def _parse_predictions(path, rows):
+    def fail(message, cause=None):
+        # Read on to the end first: an undecodable byte or a CSV error
+        # anywhere in the file is reported before any format error.
+        for _ in rows:
+            pass
+        raise ParseError(message) from cause
+
+    header = next(rows, None)
+    if header is None:
         raise ParseError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in header]
     kind = None
     for prefix, name in (("p_", PROBABILITIES), ("z_", LOGITS)):
         if header and header[0] == f"{prefix}0":
             kind = name
             break
     if kind is None:
-        raise ParseError(f"{path}: header must start with p_0.. or z_0.. columns")
+        fail(f"{path}: header must start with p_0.. or z_0.. columns")
     prefix = "p_" if kind == PROBABILITIES else "z_"
     k = 0
     while k < len(header) and header[k] == f"{prefix}{k}":
         k += 1
     if k < 2:
-        raise ParseError(f"{path}: need at least columns {prefix}0 and {prefix}1")
+        fail(f"{path}: need at least columns {prefix}0 and {prefix}1")
     rest = header[k:]
-    label_col = None
-    if rest:
-        if rest != ["label"]:
-            raise ParseError(
-                f"{path}: unexpected columns {rest!r}; expected only an optional 'label'"
-            )
-        label_col = k
-    data = []
-    labels = [] if label_col is not None else None
-    for lineno, row in enumerate(rows[1:], start=2):
+    if rest and rest != ["label"]:
+        fail(f"{path}: unexpected columns {rest!r}; expected only an optional 'label'")
+    labels = [] if rest else None
+    expected = len(header)
+    # Nothing views X, so it grows and finally shrinks in place.
+    X = np.empty((_INITIAL_ROWS, k))
+    n = 0
+    for lineno, row in enumerate(rows, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
-        expected = k + (1 if label_col is not None else 0)
         if len(row) != expected:
-            raise ParseError(f"{path}:{lineno}: expected {expected} fields, got {len(row)}")
+            fail(f"{path}:{lineno}: expected {expected} fields, got {len(row)}")
+        if n == X.shape[0]:
+            X.resize((2 * n, k), refcheck=False)
         try:
-            data.append([float(v) for v in row[:k]])
+            X[n] = row[:k]
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            fail(f"{path}:{lineno}: {exc}", exc)
         if labels is not None:
             labels.append(row[k].strip())
-    if not data:
+        n += 1
+    if n == 0:
         raise ParseError(f"{path}: no data rows")
-    return np.array(data), kind, labels
+    X.resize((n, k), refcheck=False)
+    return X, kind, labels
 
 
 def write_probabilities(path, P, label_names=None, labels=None):
@@ -109,7 +129,7 @@ def write_probabilities(path, P, label_names=None, labels=None):
         writer = csv.writer(fh)
         writer.writerow(header)
         for i, row in enumerate(P):
-            out = [repr(float(v)) for v in row]
+            out = list(map(repr, row.tolist()))
             if labels is not None:
                 out.append(label_names[labels[i]] if label_names else str(labels[i]))
             writer.writerow(out)

@@ -130,7 +130,12 @@ def method_spec(method: str) -> MethodSpec:
 
 def _binary_to_jsonable(m) -> dict:
     if isinstance(m, ovr.IsotonicMap):
-        return {"type": "isotonic", "breakpoints": m.breakpoints.tolist(), "values": m.values.tolist()}
+        # One entry per run of equal values (a PAV block). ``predict`` reads
+        # the value at the last breakpoint at or below the score, so the
+        # breakpoints inside a run change no prediction.
+        run = np.concatenate(([True], np.diff(m.values) != 0.0))
+        return {"type": "isotonic", "breakpoints": m.breakpoints[run].tolist(),
+                "values": m.values[run].tolist()}
     if isinstance(m, ovr.BinningMap):
         return {"type": "binning", "edges": m.edges.tolist(), "bin_values": m.bin_values.tolist(),
                 "scheme": m.scheme}

@@ -22,10 +22,12 @@ BACKTRACK = 0.5
 #: Parameter count up to which the multinomial fits pass a dense Hessian
 #: (Cholesky Newton) and above which a Hessian operator (Newton-CG). The
 #: dense Hessian of d parameters costs O(n d^2 + d^3) per step, an operator
-#: product O(n d). Measured crossover with full W on one core: dense vs CG
-#: at n = 3333 was 92 vs 108 ms for k = 15 (240 parameters), 133 vs 97 ms
-#: for k = 16 (272) and 200 vs 114 ms for k = 18 (342).
-DENSE_NEWTON_MAX_DIM = 300
+#: product O(n d). Measured crossover with full W (ODIR fits, one BLAS
+#: thread, medians of 7 alternating fits), dense vs CG: at n = 3333, 78 vs
+#: 89 ms for k = 15 (240 parameters), 80 vs 58 ms for k = 16 (272) and 88 vs
+#: 65 ms for k = 17 (306); at n = 10^4, 189 vs 242, 229 vs 183 and 280 vs
+#: 257 ms.
+DENSE_NEWTON_MAX_DIM = 240
 
 _MAX_BACKTRACKS = 60
 _JITTERS = (1e-10, 1e-8, 1e-6, 1e-4)

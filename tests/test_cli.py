@@ -79,6 +79,91 @@ class TestReadPredictions:
             cli.read_predictions(path)
 
 
+def write_text(path, text):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
+class TestReadPredictionsExact:
+    """Exact values, error texts and line numbers of the CSV reader."""
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("nonnum.csv", "p_0,p_1,label\n0.5,0.5,0\n0.5,abc,1\n",
+         "nonnum.csv:3: could not convert string to float: 'abc'"),
+        ("blanks.csv", "p_0,p_1,label\n\n0.5,0.5,0\n\n  \n0.25,x,1\n",
+         "blanks.csv:6: could not convert string to float: 'x'"),
+        ("crlf.csv", "p_0,p_1\r\n0.5,0.5\r\n\r\n0.5,x\r\n",
+         "crlf.csv:4: could not convert string to float: 'x'"),
+        ("empty_field.csv", "p_0,p_1\n0.5,\n",
+         "empty_field.csv:2: could not convert string to float: ''"),
+        ("ragged.csv", "p_0,p_1\n0.5,0.5\n0.5\n", "ragged.csv:3: expected 2 fields, got 1"),
+        ("long.csv", "p_0,p_1,label\n0.5,0.5,0\n0.5,0.5,1,2\n",
+         "long.csv:3: expected 3 fields, got 4"),
+        ("header_only.csv", "p_0,p_1,label\n", "header_only.csv: no data rows"),
+        ("header_blank.csv", "p_0,p_1,label\n\n\n", "header_blank.csv: no data rows"),
+        ("empty.csv", "", "empty.csv: empty file"),
+        ("one_col.csv", "p_0,label\n1,0\n", "one_col.csv: need at least columns p_0 and p_1"),
+        ("extra.csv", "p_0,p_1,foo\n1,0,0\n",
+         "extra.csv: unexpected columns ['foo']; expected only an optional 'label'"),
+        ("header.csv", "a,b\n1,2\n", "header.csv: header must start with p_0.. or z_0.. columns"),
+    ])
+    def test_parse_error_text(self, tmp_path, monkeypatch, name, text, message):
+        monkeypatch.chdir(tmp_path)
+        write_text(tmp_path / name, text)
+        with pytest.raises(cli.ParseError) as info:
+            cli.read_predictions(name)
+        assert str(info.value) == message
+
+    def test_quoted_string_labels(self, tmp_path):
+        path = write_text(tmp_path / "quoted.csv",
+                          'p_0,p_1,label\n0.5,0.5,"cat, tabby"\n"0.25",0.75," dog "\n')
+        X, kind, labels = cli.read_predictions(path)
+        assert kind == "probabilities"
+        assert X.dtype == np.float64 and X.tolist() == [[0.5, 0.5], [0.25, 0.75]]
+        assert labels == ["cat, tabby", "dog"]
+
+    def test_tokens_convert_as_python_float(self, tmp_path):
+        path = write_text(tmp_path / "tokens.csv",
+                          "z_0,z_1,z_2,z_3\n 0.5,nan,1_0,1e400\n-0,-inf,4.9e-324,0.1\n")
+        X, kind, labels = cli.read_predictions(path)
+        assert kind == "logits" and labels is None
+        expected = np.array([[float(v) for v in (" 0.5", "nan", "1_0", "1e400")],
+                             [float(v) for v in ("-0", "-inf", "4.9e-324", "0.1")]])
+        assert X.shape == (2, 4) and X.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 37])
+    def test_rows_past_the_initial_buffer(self, tmp_path, monkeypatch, rng, n):
+        # With a 4-row first buffer, 5 and 37 rows make the reader grow it.
+        monkeypatch.setattr(cli, "_INITIAL_ROWS", 4, raising=False)
+        q = random_simplex(rng, n, 3)
+        y = rng.integers(0, 3, size=n)
+        path = tmp_path / "grow.csv"
+        write_csv(path, q, labels=y)
+        X, kind, labels = cli.read_predictions(path)
+        assert X.shape == (n, 3) and X.flags.c_contiguous
+        assert X.tobytes() == q.tobytes()
+        assert labels == [str(v) for v in y]
+
+    def test_cli_exit_code_on_parse_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_text(tmp_path / "nonnum.csv", "p_0,p_1,label\n0.5,0.5,0\n0.5,abc,1\n")
+        assert cli.main(["eval", "nonnum.csv", "--resamples", "0"]) == cli.EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "error: nonnum.csv:3: could not convert string to float: 'abc'\n")
+
+    def test_undecodable_byte_outranks_earlier_parse_error(self, tmp_path, monkeypatch, capsys):
+        # The whole file is decoded before any row is judged, so a bad byte
+        # far past a bad number is the error reported (exit 3, not 2).
+        monkeypatch.chdir(tmp_path)
+        with open(tmp_path / "bad.csv", "wb") as fh:
+            fh.write(b"p_0,p_1\n0.5,x\n" + b"0.5,0.5\n" * 3000 + b"\xff\xfe,1\n")
+        assert cli.main(["eval", "bad.csv", "--resamples", "0"]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "invalid input: 'utf-8' codec can't decode byte 0xff in position 7630: "
+            "invalid start byte\n")
+
+
 class TestLabelMapping:
     def test_zero_based(self):
         y, names = cli.build_label_mapping(["0", "2", "1"], 3)

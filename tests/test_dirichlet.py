@@ -315,6 +315,31 @@ class TestFit:
         _, grad = objective_and_gradient(fitted, q, y, reg)
         assert np.max(np.abs(grad)) <= 1e-8
 
+    def test_fit_at_k16_takes_newton_cg_and_converges(self, rng, monkeypatch):
+        # k = 16 (272 parameters) is the first full-W size past the dense limit.
+        from probcal import dirichlet
+        from probcal.optim import DENSE_NEWTON_MAX_DIM
+
+        k = 16
+        assert k * k + k > DENSE_NEWTON_MAX_DIM >= (k - 1) ** 2 + (k - 1)
+        built = []
+
+        class CountingOperator(dirichlet._HessianOperator):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(dirichlet, "_HessianOperator", CountingOperator)
+        q = random_simplex(rng, 1500, k, concentration=0.5)
+        y = sample_labels_from_rows(rng, q)
+        reg = OdirConfig(1e-3, 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fitted = fit(q, y, reg, tol=1e-8)
+        assert built
+        _, grad = objective_and_gradient(fitted, q, y, reg)
+        assert np.max(np.abs(grad)) <= 1e-8
+
     def test_gradient_zero_at_optimum(self, rng):
         q = random_simplex(rng, 200, 3)
         y = sample_labels_from_rows(rng, q)

@@ -9,6 +9,7 @@ from probcal.models import (
     fit_calibrator,
     model_from_dict,
 )
+from probcal.ovr import IsotonicMap, OneVsRestModel
 
 from conftest import random_simplex
 from oracles import sample_labels_from_rows
@@ -32,6 +33,14 @@ LOGIT_METHODS = [
 @pytest.fixture
 def prob_data(rng):
     q = random_simplex(rng, 300, 3)
+    return q, sample_labels_from_rows(rng, q)
+
+
+@pytest.fixture
+def tied_data(rng):
+    # Scores rounded to 2 decimals give ties and long runs of equal values.
+    q = np.round(random_simplex(rng, 600, 3), 2)
+    q /= q.sum(axis=1, keepdims=True)
     return q, sample_labels_from_rows(rng, q)
 
 
@@ -104,6 +113,63 @@ class TestSerialization:
         restored = model_from_dict(json.loads(blob))
         np.testing.assert_array_equal(restored.params.W, model.params.W)
         np.testing.assert_array_equal(restored.params.b, model.params.b)
+
+    def test_isotonic_json_roundtrip_is_bit_equal(self, tied_data):
+        import json
+
+        q, y = tied_data
+        model = fit_calibrator("ovr_isotonic", q, y)
+        restored = model_from_dict(json.loads(json.dumps(model.to_dict())))
+        # The training rows sit exactly on every per-score breakpoint, the
+        # merged ones included; the extra rows lie below the first and above
+        # the last breakpoint of each class.
+        edge = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                         [0.001, 0.004, 0.995], [0.5, 0.25, 0.25]])
+        for X in (q, edge):
+            assert restored.apply(X).tobytes() == model.apply(X).tobytes()
+        for fitted, loaded in zip(model.params.maps, restored.params.maps):
+            bp = fitted.breakpoints
+            s = np.concatenate([bp, (bp[:-1] + bp[1:]) / 2, [bp[0] - 1e-3, -1.0, bp[-1] + 1e-3,
+                                                             2.0, -np.inf, np.inf, np.nan]])
+            assert loaded.predict(s).tobytes() == fitted.predict(s).tobytes()
+
+    def test_isotonic_json_stores_one_entry_per_value_run(self, tied_data):
+        q, y = tied_data
+        model = fit_calibrator("ovr_isotonic", q, y)
+        stored = model.to_dict()["params"]["maps"]
+        for fitted, entry in zip(model.params.maps, stored):
+            runs = 1 + np.count_nonzero(np.diff(fitted.values))
+            assert len(entry["breakpoints"]) == len(entry["values"]) == runs
+            assert runs < fitted.breakpoints.size
+            assert np.all(np.diff(entry["values"]) > 0.0)
+            assert entry["breakpoints"][0] == fitted.breakpoints[0]
+            assert set(entry["breakpoints"]) <= set(fitted.breakpoints.tolist())
+
+    def test_isotonic_per_score_document_still_loads(self):
+        # One entry per distinct score, as model files were once written.
+        maps = [
+            {"type": "isotonic", "breakpoints": [0.1, 0.2, 0.3, 0.4, 0.6],
+             "values": [0.0, 0.0, 0.5, 0.5, 1.0]},
+            {"type": "isotonic", "breakpoints": [0.4, 0.6, 0.7, 0.8, 0.9],
+             "values": [0.25, 0.25, 0.25, 0.75, 0.75]},
+        ]
+        doc = {"schema": "probcal-model-v1", "type": "single", "method": "ovr_isotonic",
+               "k": 2, "input": "probabilities", "labels": ["0", "1"],
+               "params": {"kind": "isotonic", "maps": maps}, "hyperparams": {},
+               "clip_floor": 2.2e-308, "seed": None, "created": None}
+        loaded = model_from_dict(doc)
+        in_memory = CalibratorModel(
+            method="ovr_isotonic", k=2,
+            params=OneVsRestModel("isotonic", tuple(
+                IsotonicMap(np.array(m["breakpoints"]), np.array(m["values"])) for m in maps)))
+        s = np.array([0.0, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.6, 0.65, 0.7, 0.8, 0.9, 1.0])
+        X = np.column_stack([s, 1.0 - s])
+        assert loaded.apply(X).tobytes() == in_memory.apply(X).tobytes()
+        raw0 = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        raw1 = np.array([0.75, 0.75, 0.75, 0.75, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25,
+                         0.25, 0.25, 0.25])
+        expected = np.column_stack([raw0, raw1]) / (raw0 + raw1)[:, None]
+        assert loaded.apply(X).tobytes() == expected.tobytes()
 
     def test_rejects_bad_schema(self):
         with pytest.raises(ValueError):
