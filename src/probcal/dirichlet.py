@@ -315,10 +315,23 @@ class _HessianOperator:
     (block-Jacobi): block a couples class a's parameters (free W[a, :],
     b_a) and equals G_a' diag(P_a (1 - P_a)) G_a / n plus their penalty,
     where G_a holds the columns of [X, 1] those parameters multiply.
+
+    One operator serves one CG solve and counts its products in
+    ``products``. Building the blocks costs O(n k^3), as much as k or so
+    products, so an operator given the ``previous`` Newton step's operator
+    reuses its block inverse, built at an earlier theta. Any fixed positive
+    definite preconditioner leaves CG solving the true H d = -g, so only
+    the product count can grow; the blocks are rebuilt once the last solve
+    took more than ``REBUILD_RATIO`` times the products of the first solve
+    after they were built.
     """
 
-    def __init__(self, theta, feats, pen_w, pen_b, free):
-        n, k = feats.shape
+    #: Growth of the CG product count, against the first solve after a
+    #: build, past which the next operator builds fresh blocks.
+    REBUILD_RATIO = 2
+
+    def __init__(self, theta, feats, pen_w, pen_b, free, previous=None):
+        k = feats.shape[1]
         W, b = _unpack(theta, free)
         self.feats, self.free = feats, free
         self.probs = softmax(feats @ W.T + b, axis=1)
@@ -326,10 +339,25 @@ class _HessianOperator:
         m = np.count_nonzero(free)
         #: Row a: the positions of class a's parameters in theta.
         self.index = np.column_stack([np.arange(m).reshape(k, -1), m + np.arange(k)])
+        self.products = 0
+        if previous is None or previous.products > self.REBUILD_RATIO * previous.baseline:
+            self._build()
+            self._baseline = None
+        else:
+            self.blocks, self._inverse = previous.blocks, previous._inverse
+            self._baseline = previous.baseline
+
+    @property
+    def baseline(self):
+        """CG products of the first solve after the blocks were built."""
+        return self.products if self._baseline is None else self._baseline
+
+    def _build(self):
+        n, k = self.feats.shape
         # Rows of faug_t are the columns of [feats, 1]; G_a' diag(w) G_a is
         # formed as S S' with S = G_a' diag(sqrt(w)), a symmetric BLAS product.
-        faug_t = np.vstack([feats.T, np.ones(n)])
-        cols = np.column_stack([free, np.ones(k, dtype=bool)])
+        faug_t = np.vstack([self.feats.T, np.ones(n)])
+        cols = np.column_stack([self.free, np.ones(k, dtype=bool)])
         root_weights = np.sqrt(self.probs * (1.0 - self.probs) / n)
         width = self.index.shape[1]
         self.blocks = np.empty((k, width, width))
@@ -345,6 +373,7 @@ class _HessianOperator:
         self._inverse = np.linalg.inv(self.blocks + ridge[:, None, None] * np.eye(width))
 
     def matvec(self, v):
+        self.products += 1
         n = self.feats.shape[0]
         V, vb = _unpack(v, self.free)
         PU = self.probs * (self.feats @ V.T + vb)
@@ -384,17 +413,21 @@ def objective_and_gradient(params: LinearParams, probs, labels, reg):
 
 
 def fit_multinomial(feats, labels, reg, diagonal: bool = False,
-                    tol: float = 1e-8, max_iter: int = 500):
+                    tol: float = 1e-8, max_iter: int = 500, *, _start=None):
     """Fit softmax(W x + b) to feature rows x by penalized maximum likelihood.
 
     The one fitting core behind Dirichlet calibration (x = ln q) and
     matrix and vector scaling (x = logits). ``diagonal`` keeps W diagonal
     (vector scaling); otherwise every entry of W is free; b is always free.
-    Starts from W = I, b = 0 and returns the fitted ``(W, b)``, warning if
-    the fit did not converge.
+    Starts from W = I, b = 0, or from the ``(W, b)`` of ``_start`` (the
+    previous point of a grid path), and returns the fitted ``(W, b)``,
+    warning if the fit did not converge. The objective is convex, so the
+    start changes the iterates, not the optimum the fit converges to.
 
     Newton steps use the dense Hessian up to ``DENSE_NEWTON_MAX_DIM``
-    parameters and the Hessian operator (Newton-CG) above it. Diagonal W
+    parameters and the Hessian operator (Newton-CG) above it, whose
+    block-Jacobi preconditioner is carried from step to step and rebuilt
+    when the CG solves grow long (see ``_HessianOperator``). Diagonal W
     always uses the dense Hessian: an operator product costs O(n k^2) for
     either structure, as much as the whole dense Hessian of 2k parameters.
     """
@@ -406,13 +439,22 @@ def fit_multinomial(feats, labels, reg, diagonal: bool = False,
         raise ValueError("labels contain a single class; nothing to fit")
     pen_w, pen_b = _penalty_matrices(reg, k)
     free = np.eye(k, dtype=bool) if diagonal else np.ones((k, k), dtype=bool)
-    theta0 = np.concatenate([np.eye(k)[free], np.zeros(k)])
+    W0, b0 = (np.eye(k), np.zeros(k)) if _start is None else (_start.W, _start.b)
+    theta0 = np.concatenate([W0[free], b0])
     dense = diagonal or theta0.size <= DENSE_NEWTON_MAX_DIM
-    hessian = _hessian if dense else _HessianOperator
+    operator = None
+
+    def hess(t):
+        nonlocal operator
+        if dense:
+            return _hessian(t, feats, pen_w, pen_b, free)
+        operator = _HessianOperator(t, feats, pen_w, pen_b, free, operator)
+        return operator
+
     result = minimize(
         lambda t: _value_grad(t, feats, onehot, pen_w, pen_b, free),
         theta0,
-        hess=lambda t: hessian(t, feats, pen_w, pen_b, free),
+        hess=hess,
         tol=tol,
         max_iter=max_iter,
     )
@@ -426,7 +468,8 @@ def fit_multinomial(feats, labels, reg, diagonal: bool = False,
     return _unpack(result.params, free)
 
 
-def fit(probs, labels, reg, tol: float = 1e-8, max_iter: int = 500) -> LinearParams:
+def fit(probs, labels, reg, tol: float = 1e-8, max_iter: int = 500, *,
+        _start=None) -> LinearParams:
     """Fit a Dirichlet calibration map by penalized maximum likelihood.
 
     Parameters
@@ -444,10 +487,12 @@ def fit(probs, labels, reg, tol: float = 1e-8, max_iter: int = 500) -> LinearPar
     Returns
     -------
     LinearParams
-        Starts from the identity map (W = I, b = 0); the objective is
-        convex, so the start affects speed only.
+        Starts from the identity map (W = I, b = 0), or from the map
+        ``_start`` when a grid search fits its points as a path; the
+        objective is convex, so the start affects speed only.
     """
-    W, b = fit_multinomial(log_transform(probs), labels, reg, tol=tol, max_iter=max_iter)
+    W, b = fit_multinomial(log_transform(probs), labels, reg, tol=tol, max_iter=max_iter,
+                           _start=_start)
     return LinearParams(W=W, b=b)
 
 

@@ -83,6 +83,12 @@ def cross_val_fit(method: str, X, y, folds: int, seed: int = 0,
     Returns ``(model, best_hyper, table)`` where ``table`` lists
     ``(hyper, mean_val_log_loss)`` per grid point. With ``folds == 1`` the
     method is fitted once on all the data (no grid search possible).
+
+    Each fold's grid points are fitted in grid order as a path: the fit at
+    a point starts from that fold's fit at the previous point, which the
+    Dirichlet and affine-logit methods use as their starting point (the
+    first point starts from the identity). Every fit still runs to the
+    same tolerance, so the path changes the iterates, not the optimum.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
@@ -104,19 +110,21 @@ def cross_val_fit(method: str, X, y, folds: int, seed: int = 0,
         return model, hyper, [(hyper, None)]
 
     assignment = stratified_folds(y, folds, seed)
+    splits = [(X[assignment != f], y[assignment != f], X[assignment == f], y[assignment == f])
+              for f in range(folds)]
+    previous = [None] * folds
     table = []
     best = None
     for hyper in candidates:
         members = []
         losses = []
-        for f in range(folds):
-            train = assignment != f
-            val = ~train
-            member = fit_calibrator(method, X[train], y[train], hyper,
+        for f, (X_train, y_train, X_val, y_val) in enumerate(splits):
+            member = fit_calibrator(method, X_train, y_train, hyper,
                                     label_names=label_names, clip_floor=clip_floor,
-                                    seed=seed)
+                                    seed=seed, _start=previous[f])
             members.append(member)
-            losses.append(log_loss(member.apply(X[val]), y[val], clip_floor))
+            losses.append(log_loss(member.apply(X_val), y_val, clip_floor))
+        previous = members
         mean_loss = float(np.mean(losses))
         table.append((dict(hyper), mean_loss))
         if best is None or mean_loss < best[0]:

@@ -23,8 +23,10 @@ SCHEMA_ID = "probcal-model-v1"
 class MethodSpec:
     """Everything the library needs to know about one method tag.
 
-    ``fit(X, y, hyper, clip_floor, tol, max_iter)`` returns the raw
-    parameter object; ``apply(params, X, clip_floor)`` returns calibrated
+    ``fit(X, y, hyper, clip_floor, tol, max_iter, start)`` returns the raw
+    parameter object, where ``start`` is None or fitted parameters of the
+    same method that an iterative fit may start from (the others ignore
+    it); ``apply(params, X, clip_floor)`` returns calibrated
     probability rows; ``to_json`` / ``from_json`` convert the parameters to
     and from plain dicts; ``defaults`` are the fixed hyperparameters used
     when no grid or value is given, and name the ones a grid searches;
@@ -48,8 +50,8 @@ def _weights_to_json(params) -> dict:
 def _dirichlet_spec(reg, defaults) -> MethodSpec:
     return MethodSpec(
         input=PROBABILITIES,
-        fit=lambda X, y, h, floor, tol, max_iter: dirichlet.fit(
-            clip_probabilities(X, floor), y, reg(h), tol=tol, max_iter=max_iter),
+        fit=lambda X, y, h, floor, tol, max_iter, start: dirichlet.fit(
+            clip_probabilities(X, floor), y, reg(h), tol=tol, max_iter=max_iter, _start=start),
         apply=lambda params, X, floor: dirichlet.apply_linear(clip_probabilities(X, floor), params),
         to_json=_weights_to_json,
         from_json=lambda obj: dirichlet.LinearParams(W=np.array(obj["W"]), b=np.array(obj["b"])),
@@ -61,8 +63,8 @@ def _dirichlet_spec(reg, defaults) -> MethodSpec:
 def _affine_spec(mode, reg, defaults) -> MethodSpec:
     return MethodSpec(
         input=LOGITS,
-        fit=lambda X, y, h, floor, tol, max_iter: scaling.fit_affine_logit(
-            X, y, mode=mode, reg=reg(h), tol=tol, max_iter=max_iter),
+        fit=lambda X, y, h, floor, tol, max_iter, start: scaling.fit_affine_logit(
+            X, y, mode=mode, reg=reg(h), tol=tol, max_iter=max_iter, _start=start),
         apply=lambda params, X, floor: scaling.apply_affine_logit(X, params),
         to_json=_weights_to_json,
         from_json=lambda obj: scaling.AffineLogitParams(W=np.array(obj["W"]), b=np.array(obj["b"])),
@@ -295,11 +297,17 @@ def fit_calibrator(method: str, X, y, hyper: Optional[dict] = None,
                    label_names: Optional[list] = None,
                    clip_floor: float = DEFAULT_CLIP_FLOOR,
                    seed: Optional[int] = None,
-                   tol: float = 1e-8, max_iter: int = 500) -> CalibratorModel:
-    """Fit one method on all of (X, y) and wrap it as a CalibratorModel."""
+                   tol: float = 1e-8, max_iter: int = 500, *,
+                   _start: Optional[CalibratorModel] = None) -> CalibratorModel:
+    """Fit one method on all of (X, y) and wrap it as a CalibratorModel.
+
+    ``_start``, a model of the same method fitted on the same rows, gives
+    the Dirichlet and affine-logit fits their starting point.
+    """
     X = np.asarray(X, dtype=float)
     hyper = dict(hyper or {})
-    params = method_spec(method).fit(X, y, hyper, clip_floor, tol, max_iter)
+    start = None if _start is None else _start.params
+    params = method_spec(method).fit(X, y, hyper, clip_floor, tol, max_iter, start)
     return CalibratorModel(
         method=method,
         k=X.shape[1],

@@ -122,7 +122,8 @@ def temperature_as_dirichlet(params, k: int) -> LinearParams:
 
 def fit_affine_logit(z, labels, mode: str = "matrix",
                      reg: OdirConfig = OdirConfig(0.0, 0.0),
-                     tol: float = 1e-8, max_iter: int = 500) -> AffineLogitParams:
+                     tol: float = 1e-8, max_iter: int = 500, *,
+                     _start=None) -> AffineLogitParams:
     """Fit softmax(W z + b) by penalized maximum likelihood.
 
     Parameters
@@ -138,16 +139,18 @@ def fit_affine_logit(z, labels, mode: str = "matrix",
     reg : OdirConfig
         Off-diagonal weight ``lam`` and intercept weight ``mu``.
 
-    Both modes start from the identity (W = I, b = 0) and use Newton steps
-    with a backtracking line search (``dirichlet.fit_multinomial``):
-    vector scaling, and matrix scaling up to k = 16, solve each step with
+    Both modes start from the identity (W = I, b = 0), or from the map
+    ``_start`` when a grid search fits its points as a path, and use Newton
+    steps with a backtracking line search (``dirichlet.fit_multinomial``):
+    vector scaling, and matrix scaling up to k = 15, solve each step with
     the dense Hessian; larger matrix-scaling fits use Newton-CG on
     Hessian-vector products.
     """
     z = as_logit_matrix(z)
     if mode not in ("matrix", "vector"):
         raise ValueError(f"mode must be 'matrix' or 'vector', got {mode!r}")
-    W, b = fit_multinomial(z, labels, reg, diagonal=mode == "vector", tol=tol, max_iter=max_iter)
+    W, b = fit_multinomial(z, labels, reg, diagonal=mode == "vector", tol=tol, max_iter=max_iter,
+                           _start=_start)
     return AffineLogitParams(W=W, b=b)
 
 

@@ -14,6 +14,7 @@ draws, so results are bit-identical across runs, platforms, chunk sizes
 and any parallel execution order.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _CHUNK = 256
+#: Elements per slice of ``counter_uniforms``: 2^15 uint64 values (256 KB).
+_TILE = 1 << 15
 
 
 def _mix64_inplace(x: np.ndarray) -> np.ndarray:
@@ -49,14 +52,19 @@ def counter_uniforms(seed: int, resample_indices, row_indices) -> np.ndarray:
     Deterministic pure function of (seed, resample index, row index).
     """
     s = np.uint64(seed % (1 << 64))
-    r = np.asarray(resample_indices, dtype=np.uint64)
-    i = np.asarray(row_indices, dtype=np.uint64)
-    # One uint64 buffer of the broadcast shape; the last round runs in place.
-    h = _mix64_inplace(np.array(_mix64(_mix64(s) + r) + i, dtype=np.uint64))
-    h >>= np.uint64(11)
-    u = h.astype(np.float64)
-    u *= 2.0**-53
-    return u[()]
+    r = _mix64(_mix64(s) + np.asarray(resample_indices, dtype=np.uint64))
+    r, i = np.broadcast_arrays(r, np.asarray(row_indices, dtype=np.uint64))
+    out = np.empty(r.shape)
+    # The hash makes about a dozen passes over its buffer, so it runs on
+    # slices along the first axis small enough to stay in cache.
+    r_rows, i_rows, out_rows = np.atleast_1d(r, i, out)
+    step = max(1, _TILE // max(1, math.prod(r.shape[1:])))
+    for start in range(0, out_rows.shape[0], step):
+        rows = slice(start, start + step)
+        h = _mix64_inplace(r_rows[rows] + i_rows[rows])
+        h >>= np.uint64(11)
+        np.multiply(h, 2.0**-53, out=out_rows[rows])
+    return out[()]
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 
@@ -238,6 +239,22 @@ class TestFitCommand:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["members"][0]["hyperparams"]["bins"] in (5, 10)
+
+    def test_grid_fit_is_deterministic(self, tmp_path, rng):
+        # Each fold's grid runs as a path from the previous point, so the
+        # iterates depend on the grid order; two runs must still agree.
+        q = random_simplex(rng, 600, 20, concentration=0.5)
+        y = sample_labels_from_rows(rng, q)
+        path = tmp_path / "q20.csv"
+        write_csv(path, q, labels=y)
+        docs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            rc = cli.main(["fit", str(path), "--method", "dirichlet_odir", "--folds", "3",
+                           "--grid", "lambda=1e-4,1e-3,1e-2", "-o", str(out)])
+            assert rc == 0
+            docs.append(re.sub(r'"created": "[^"]*"', '"created": null', out.read_text()))
+        assert docs[0] == docs[1]
 
     def test_kind_mismatch(self, tmp_path, prob_file):
         path, _, _ = prob_file

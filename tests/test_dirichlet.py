@@ -315,6 +315,42 @@ class TestFit:
         _, grad = objective_and_gradient(fitted, q, y, reg)
         assert np.max(np.abs(grad)) <= 1e-8
 
+    def test_newton_cg_reuses_preconditioner_across_steps(self, rng, monkeypatch):
+        # The k = 50 data of the test above. Each Newton step makes one
+        # operator; it builds its blocks only when the last CG solve ran long.
+        from probcal import dirichlet
+
+        k = 50
+        q = random_simplex(rng, 1000, k, concentration=0.5)
+        y = sample_labels_from_rows(rng, q)
+        reg = OdirConfig(1e-3, 1e-3)
+        steps, builds = [], []
+
+        class CountingOperator(dirichlet._HessianOperator):
+            def __init__(self, *args):
+                steps.append(1)
+                super().__init__(*args)
+
+            def _build(self):
+                builds.append(1)
+                super()._build()
+
+        class RebuildingOperator(dirichlet._HessianOperator):
+            def __init__(self, theta, feats, pen_w, pen_b, free, previous=None):
+                super().__init__(theta, feats, pen_w, pen_b, free)
+
+        monkeypatch.setattr(dirichlet, "_HessianOperator", CountingOperator)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fitted = fit(q, y, reg, tol=1e-8)
+        assert 0 < len(builds) < len(steps)
+        _, grad = objective_and_gradient(fitted, q, y, reg)
+        assert np.max(np.abs(grad)) <= 1e-8
+
+        monkeypatch.setattr(dirichlet, "_HessianOperator", RebuildingOperator)
+        rebuilt = fit(q, y, reg, tol=1e-8)
+        assert np.max(np.abs(apply_linear(q, fitted) - apply_linear(q, rebuilt))) <= 1e-6
+
     def test_fit_at_k16_takes_newton_cg_and_converges(self, rng, monkeypatch):
         # k = 16 (272 parameters) is the first full-W size past the dense limit.
         from probcal import dirichlet

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from probcal.core import softmax
+from probcal import harness
+from probcal.core import LOGITS, clip_probabilities, log_transform, softmax
+from probcal.dirichlet import OdirConfig, _penalty_matrices, _prepare, _value_grad
 from probcal.harness import HyperGrid, compare_methods, cross_val_fit, stratified_folds
-from probcal.models import METHOD_INPUT, METHODS, EnsembleModel
+from probcal.metrics import log_loss
+from probcal.models import METHOD_INPUT, METHODS, EnsembleModel, fit_calibrator
 
 from conftest import random_simplex
 from oracles import sample_from_generative, sample_labels_from_rows
@@ -82,6 +85,65 @@ class TestCrossValFit:
         m2, _, _ = cross_val_fit("dirichlet_l2", q, y, folds=3, seed=7,
                                  fixed_hyper={"lam": 1e-3})
         np.testing.assert_array_equal(m1.apply(q), m2.apply(q))
+
+
+class TestWarmStartedGrid:
+    """Each fold's grid is fitted as a path, each point starting from the last.
+
+    The reference fits every (point, fold) cold, from W = I, b = 0; both
+    reach the same optimum to within the fit tolerance.
+    """
+
+    @staticmethod
+    def _odir_gradient_norm(member, X, y):
+        W, b = member.params.W, member.params.b
+        if member.input_kind != LOGITS:
+            X = log_transform(clip_probabilities(X, member.clip_floor))
+        feats, onehot = _prepare(X, y)
+        pen_w, pen_b = _penalty_matrices(OdirConfig(**member.hyperparams), W.shape[0])
+        theta = np.concatenate([W.ravel(), b])
+        _, grad = _value_grad(theta, feats, onehot, pen_w, pen_b, np.ones(W.shape, dtype=bool))
+        return np.max(np.abs(grad))
+
+    # k = 5 takes dense Newton steps, k = 20 (420 parameters) Newton-CG.
+    @pytest.mark.parametrize("method,k", [("dirichlet_odir", 5), ("dirichlet_odir", 20),
+                                          ("matrix_odir", 5)])
+    def test_matches_cold_start_at_every_point(self, method, k, rng, monkeypatch):
+        q = random_simplex(rng, 600, k, concentration=0.5)
+        y = sample_labels_from_rows(rng, q ** 2 / (q ** 2).sum(axis=1, keepdims=True))
+        X = np.log(q) if METHOD_INPUT[method] == LOGITS else q
+        grid = HyperGrid(lambdas=(1e-4, 1e-3, 1e-2))
+        assignment = stratified_folds(y, 3, seed=4)
+        reference = []
+        for hyper in grid.points(method):
+            losses = []
+            for f in range(3):
+                train = assignment != f
+                member = fit_calibrator(method, X[train], y[train], hyper)
+                losses.append(log_loss(member.apply(X[~train]), y[~train]))
+            reference.append((hyper, float(np.mean(losses))))
+        best_reference = min(reference, key=lambda entry: entry[1])  # first of any tie
+
+        fitted = []
+
+        def recording_fit(method, X, y, hyper, **kwargs):
+            member = fit_calibrator(method, X, y, hyper, **kwargs)
+            fitted.append((member, X, y))
+            return member
+
+        monkeypatch.setattr(harness, "fit_calibrator", recording_fit)
+        _, best, table = cross_val_fit(method, X, y, folds=3, seed=4, grid=grid)
+        assert best == best_reference[0]
+        assert [h for h, _ in table] == [h for h, _ in reference]
+        # Both fits stop once the gradient infinity-norm is at most 1e-8, not
+        # at the optimum itself. Along weakly penalised directions the loss is
+        # flat, so two such stops can move the parameters by ~1e-4 (k = 20,
+        # lam = 1e-3) and the validation losses by up to ~5e-8.
+        for (_, loss), (_, want) in zip(table, reference):
+            assert abs(loss - want) <= 1e-6
+        assert len(fitted) == 9
+        for member, X_train, y_train in fitted:
+            assert self._odir_gradient_norm(member, X_train, y_train) <= 1e-8
 
 
 class TestHyperGrid:
