@@ -422,7 +422,8 @@ def fit_multinomial(feats, labels, reg, diagonal: bool = False,
     Starts from W = I, b = 0, or from the ``(W, b)`` of ``_start`` (the
     previous point of a grid path), and returns the fitted ``(W, b)``,
     warning if the fit did not converge. The objective is convex, so the
-    start changes the iterates, not the optimum the fit converges to.
+    start changes the iterates, not the optimum the fit converges to. An
+    unpenalised b is free up to a constant shift; it is returned with sum 0.
 
     Newton steps use the dense Hessian up to ``DENSE_NEWTON_MAX_DIM``
     parameters and the Hessian operator (Newton-CG) above it, whose
@@ -465,7 +466,8 @@ def fit_multinomial(feats, labels, reg, diagonal: bool = False,
             RuntimeWarning,
             stacklevel=3,
         )
-    return _unpack(result.params, free)
+    W, b = _unpack(result.params, free)
+    return W, (b if pen_b.any() else b - b.mean())
 
 
 def fit(probs, labels, reg, tol: float = 1e-8, max_iter: int = 500, *,

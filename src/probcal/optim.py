@@ -2,10 +2,10 @@
 
 Two routines: a multivariate descent with Armijo backtracking, and a
 bounded golden-section search for one-dimensional problems. The descent
-takes Newton steps when given the Hessian, either as a dense matrix (tested
-for positive definiteness by Cholesky, solved by LU) or as an operator
-(solved by truncated preconditioned conjugate gradients, Nocedal & Wright
-ch. 7), and gradient steps otherwise.
+takes Newton steps when given the Hessian, either as a dense matrix (solved
+by LU, or by least squares for the minimum-norm step when it is exactly
+singular) or as an operator (solved by truncated preconditioned conjugate
+gradients, Nocedal & Wright ch. 7), and gradient steps otherwise.
 Both routines are free of randomness, so repeated runs on identical inputs
 produce bit-identical results.
 """
@@ -20,7 +20,7 @@ ARMIJO_C = 1e-4
 #: Backtracking shrink factor for the line search.
 BACKTRACK = 0.5
 #: Parameter count up to which the multinomial fits pass a dense Hessian
-#: (Cholesky Newton) and above which a Hessian operator (Newton-CG). The
+#: (dense Newton) and above which a Hessian operator (Newton-CG). The
 #: dense Hessian of d parameters costs O(n d^2 + d^3) per step, an operator
 #: product O(n d). Measured crossover with full W (ODIR fits, one BLAS
 #: thread, medians of 7 alternating fits), dense vs CG: at n = 3333, 78 vs
@@ -30,7 +30,6 @@ BACKTRACK = 0.5
 DENSE_NEWTON_MAX_DIM = 240
 
 _MAX_BACKTRACKS = 60
-_JITTERS = (1e-10, 1e-8, 1e-6, 1e-4)
 
 
 class OptimizationError(RuntimeError):
@@ -53,25 +52,14 @@ class OptimResult:
     converged: bool
 
 
-def _newton_direction(hessian: np.ndarray, grad: np.ndarray) -> Optional[np.ndarray]:
-    """Solve H d = -g, retrying with diagonal jitter.
-
-    A Cholesky factorization tests H (plus jitter) for positive
-    definiteness; the system is then solved by LU. Returns None when the
-    Hessian cannot be factored even after jitter (caller falls back to a
-    gradient step).
-    """
-    diag_scale = float(np.mean(np.abs(np.diag(hessian))))
-    if not np.isfinite(diag_scale) or diag_scale == 0.0:
-        diag_scale = 1.0
-    for jitter in (0.0,) + _JITTERS:
-        try:
-            h = hessian if jitter == 0.0 else hessian + (jitter * diag_scale) * np.eye(len(grad))
-            np.linalg.cholesky(h)
-            return np.linalg.solve(h, -grad)
-        except np.linalg.LinAlgError:
-            continue
-    return None
+def _newton_direction(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Solve H d = -g by LU, or by minimum-norm least squares when LU finds
+    H exactly singular (a free direction of the objective, such as an
+    unpenalised intercept shift, can make it so)."""
+    try:
+        return np.linalg.solve(hessian, -grad)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(hessian, -grad, rcond=None)[0]
 
 
 def _cg_direction(op, grad: np.ndarray) -> np.ndarray:
@@ -109,7 +97,7 @@ def _cg_direction(op, grad: np.ndarray) -> np.ndarray:
 def minimize(
     fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
     x0,
-    hess: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    hess: Optional[Callable[[np.ndarray], object]] = None,
     tol: float = 1e-8,
     max_iter: int = 500,
 ) -> OptimResult:
@@ -125,9 +113,10 @@ def minimize(
         Maps a parameter vector to its Hessian, either a dense 2-d array or
         an operator with methods ``matvec(v)`` (returns H v) and
         ``precondition(r)`` (approximates H^-1 r). A dense Hessian gives
-        Newton steps (Cholesky test, LU solve); an operator gives Newton
-        steps solved by truncated preconditioned conjugate gradients. Without
-        ``hess`` the steps follow the negative gradient.
+        Newton steps solved by LU (minimum-norm least squares if it is
+        exactly singular); an operator gives Newton steps solved by
+        truncated preconditioned conjugate gradients. Without ``hess`` the
+        steps follow the negative gradient.
     tol : float
         Convergence threshold on the gradient infinity-norm.
     max_iter : int
@@ -135,11 +124,12 @@ def minimize(
 
     Notes
     -----
-    Every accepted step satisfies the Armijo condition with constant
-    ``ARMIJO_C``, so the objective is non-increasing across iterations.
-    If a Newton solve fails (dense Hessian not positive definite even with
-    jitter) or returns no descent direction, the step falls back to the
-    negative gradient.
+    An accepted step satisfies the Armijo condition with constant
+    ``ARMIJO_C``, or, where the value no longer resolves the decrease near
+    the optimum, raises it by at most a few ulps and shrinks the gradient
+    infinity-norm (approximate Armijo, Hager & Zhang 2005). The objective
+    is thus non-increasing up to rounding. A Newton step that is not a
+    descent direction falls back to the negative gradient.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -156,24 +146,24 @@ def minimize(
     for _ in range(max_iter):
         if gnorm <= tol:
             break
-        direction = None
         if hess is not None:
             h = hess(x)
             solve = _newton_direction if isinstance(h, np.ndarray) else _cg_direction
             direction = solve(h, grad)
-        if direction is None or float(direction @ grad) >= 0.0:
+        if hess is None or float(direction @ grad) >= 0.0:
             direction = -grad
 
         slope = float(grad @ direction)
+        rounding = 4.0 * np.spacing(abs(value))
         step = 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             candidate = x + step * direction
             cand_value, cand_grad = fun(candidate)
-            if (
-                np.isfinite(cand_value)
-                and np.all(np.isfinite(cand_grad))
-                and cand_value <= value + ARMIJO_C * step * slope
+            if np.isfinite(cand_value) and np.all(np.isfinite(cand_grad)) and (
+                cand_value <= value + ARMIJO_C * step * slope
+                or (cand_value <= value + rounding
+                    and float(np.max(np.abs(cand_grad))) < gnorm)
             ):
                 accepted = True
                 break

@@ -418,6 +418,13 @@ class TestFit:
         off = fitted.W - np.diag(np.diag(fitted.W))
         assert np.max(np.abs(off)) < 1e-3
 
+    @pytest.mark.parametrize("reg", [OdirConfig(1e-2, 0.0), L2Config(1e-2, include_intercept=False)])
+    def test_free_intercept_sums_to_zero(self, rng, reg):
+        q = random_simplex(rng, 600, 4)
+        y = sample_labels_from_rows(rng, q)
+        fitted = fit(q, y, reg)
+        assert abs(fitted.b.sum()) <= 1e-12
+
     def test_l2_intercept_exclusion_flag(self, rng):
         # Imbalanced labels: with a huge penalty on everything the map is
         # pushed to uniform; excluding the intercept leaves b free to

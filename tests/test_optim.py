@@ -57,10 +57,11 @@ class TestMinimize:
             assert res.iterations <= 2
             np.testing.assert_allclose(res.params, target, atol=1e-6)
 
-    def test_newton_singular_psd_hessian_uses_jitter(self):
+    def test_newton_singular_psd_hessian_takes_min_norm_step(self):
         # f = 2 (x0 + x1 - 1)^2 + 10 (x2 - 2)^2 has a singular PSD Hessian
-        # whose Cholesky meets an exact zero pivot, so the step comes from
-        # the jitter retry; gradient steps need many more iterations.
+        # whose LU meets an exact zero pivot, so the step is the
+        # minimum-norm least-squares solution; gradient steps need many more
+        # iterations.
         def fun(x):
             s = x[0] + x[1] - 1.0
             value = 2.0 * s ** 2 + 10.0 * (x[2] - 2.0) ** 2
@@ -69,16 +70,21 @@ class TestMinimize:
         H = np.array([[4.0, 4.0, 0.0], [4.0, 4.0, 0.0], [0.0, 0.0, 20.0]])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(H)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(H, np.ones(3))
         res = minimize(fun, [0.3, -2.0, 0.0], hess=lambda x: H)
         assert res.converged
         assert res.iterations <= 2
+        # The minimum-norm step has no component along the null vector (1, -1, 0).
+        assert res.params[0] - res.params[1] == pytest.approx(2.3, abs=1e-12)
         assert abs(res.params[0] + res.params[1] - 1.0) < 1e-8
         assert abs(res.params[2] - 2.0) < 1e-8
         assert minimize(fun, [0.3, -2.0, 0.0]).iterations > 2
 
     def test_newton_negative_definite_hessian_falls_back_to_gradient(self):
-        # No jitter makes -H positive definite: every step is the negative
-        # gradient, so the run repeats the gradient-only run exactly.
+        # The Newton step of a negative-definite H ascends, so every step is
+        # the negative gradient and the run repeats the gradient-only run
+        # exactly.
         res = minimize(separable, [0.0, 0.0], hess=lambda x: -np.diag([2.0, 20.0]))
         plain = minimize(separable, [0.0, 0.0])
         assert res.converged

@@ -184,6 +184,31 @@ class TestFitAffineLogit:
             fitted = fit_affine_logit(z, y, mode="matrix", reg=OdirConfig(0.0, 0.0), max_iter=25)
         assert np.max(np.abs(fitted.W)) < 5.0
 
+    def test_vector_fit_converges_at_rounding_resolution(self):
+        # Near this fit's optimum the full Newton step cuts the gradient to
+        # ~1e-17 but raises the value by one unit in the last place; Armijo
+        # alone rejects it and every backtrack, and the fit stalls above tol.
+        local = np.random.default_rng(3)
+        z = local.normal(size=(200, 3)) * 2.0
+        y = sample_labels_from_rows(local, softmax(z * 0.6, axis=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit_affine_logit(z, y, mode="vector", reg=OdirConfig(0.0, 0.0), tol=1e-10)
+
+    @pytest.mark.parametrize("mode, k, reg", [
+        ("vector", 3, OdirConfig(0.0, 0.0)),
+        ("vector", 15, OdirConfig(0.0, 0.0)),
+        ("matrix", 3, OdirConfig(1e-2, 0.0)),
+    ])
+    def test_free_intercept_sums_to_zero(self, mode, k, reg):
+        # Softmax ignores a constant shift of an unpenalised b; the fit
+        # returns the representative with sum zero.
+        local = np.random.default_rng(k)
+        z = local.normal(size=(200 * k, k)) * 2.0
+        y = sample_labels_from_rows(local, softmax(z * 0.6, axis=1))
+        fitted = fit_affine_logit(z, y, mode=mode, reg=reg)
+        assert abs(fitted.b.sum()) <= 1e-12
+
     def test_rejects_bad_mode(self, rng):
         z = rng.normal(size=(10, 2))
         with pytest.raises(ValueError, match="mode"):
