@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 parse error, 3 validation error, 4 fit failure.
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -119,20 +120,14 @@ def _parse_predictions(path, rows):
     return X, kind, labels
 
 
-def write_probabilities(path, P, label_names=None, labels=None):
-    """Write probability rows as CSV with full-precision decimals."""
+def write_probabilities(path, P):
+    """Write probability rows as CSV: each value's ``repr``, CRLF line ends
+    (the bytes of ``csv.writer``), one row formatted at a time."""
     P = np.asarray(P, dtype=float)
-    header = [f"p_{j}" for j in range(P.shape[1])]
-    if labels is not None:
-        header.append("label")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, row in enumerate(P):
-            out = list(map(repr, row.tolist()))
-            if labels is not None:
-                out.append(label_names[labels[i]] if label_names else str(labels[i]))
-            writer.writerow(out)
+        fh.write(",".join(f"p_{j}" for j in range(P.shape[1])) + "\r\n")
+        for row in P:
+            fh.write(",".join(map(repr, row.tolist())) + "\r\n")
 
 
 def build_label_mapping(raw_labels, k, explicit=None):
@@ -350,6 +345,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_diagram(args) -> int:
+    table_path = os.path.splitext(args.output)[0] + ".csv"
+    if table_path == args.output:
+        raise ValueError(f"the reliability table would overwrite the chart {args.output}")
     X, _, y, _ = _read_labelled(args)
     if args.mode == "confidence":
         bins_list = [confidence_reliability(X, y, args.bins)]
@@ -360,7 +358,6 @@ def cmd_diagram(args) -> int:
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(svg)
-        table_path = args.output.rsplit(".", 1)[0] + ".csv"
         with open(table_path, "w", encoding="utf-8") as fh:
             fh.write(table)
     except OSError as exc:

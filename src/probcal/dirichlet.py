@@ -423,7 +423,9 @@ def fit_multinomial(feats, labels, reg, diagonal: bool = False,
     previous point of a grid path), and returns the fitted ``(W, b)``,
     warning if the fit did not converge. The objective is convex, so the
     start changes the iterates, not the optimum the fit converges to. An
-    unpenalised b is free up to a constant shift; it is returned with sum 0.
+    unpenalised b is free up to a constant shift, and a full unpenalised W
+    up to one vector added to every row; b returns with sum 0, W with
+    column sums 0.
 
     Newton steps use the dense Hessian up to ``DENSE_NEWTON_MAX_DIM``
     parameters and the Hessian operator (Newton-CG) above it, whose
@@ -467,6 +469,7 @@ def fit_multinomial(feats, labels, reg, diagonal: bool = False,
             stacklevel=3,
         )
     W, b = _unpack(result.params, free)
+    W = W if diagonal or pen_w.any() else W - W.mean(axis=0)
     return W, (b if pen_b.any() else b - b.mean())
 
 

@@ -124,32 +124,29 @@ def _binary_inputs(scores, labels):
 def fit_isotonic(scores, labels) -> IsotonicMap:
     """Monotone least-squares fit by pool-adjacent-violators.
 
-    Tied scores are pooled before the sweep, so the returned map has one
-    value per distinct score and is stepwise constant between them.
+    Tied scores are pooled first, so the map has one value per distinct
+    score. Neighbours with exactly equal label means are then pooled into
+    runs (collinear points of the cumulative-sum diagram, where its convex
+    minorant cannot bend), and the sweep runs over the runs on integer label
+    sums and counts; each value is its block's exact mean, correctly rounded.
     """
     s, y = _binary_inputs(scores, labels)
     order = np.argsort(s, kind="stable")
-    s, y = s[order], y[order]
-    uniq, start = np.unique(s, return_index=True)
-    counts = np.diff(np.append(start, s.size)).astype(float)
+    s, y = s[order], y[order].astype(np.int64)
+    start = np.flatnonzero(np.append(True, s[1:] != s[:-1]))
+    counts = np.diff(start, append=s.size)
     sums = np.add.reduceat(y, start)
-
-    # Blocks carry (mean, weight, number of pooled distinct scores).
-    means: list[float] = []
-    weights: list[float] = []
-    sizes: list[int] = []
-    for mean, w in zip(sums / counts, counts):
-        means.append(mean)
-        weights.append(w)
-        sizes.append(1)
-        while len(means) > 1 and means[-2] > means[-1]:
-            w_tot = weights[-2] + weights[-1]
-            merged = (means[-2] * weights[-2] + means[-1] * weights[-1]) / w_tot
-            means[-2:] = [merged]
-            weights[-2:] = [w_tot]
-            sizes[-2:] = [sizes[-2] + sizes[-1]]
-    values = np.repeat(means, sizes)
-    return IsotonicMap(breakpoints=uniq, values=np.clip(values, 0.0, 1.0))
+    run = np.flatnonzero(np.append(True, sums[1:] * counts[:-1] != sums[:-1] * counts[1:]))
+    blocks = []  # (label sum, row count, distinct scores pooled), means increasing
+    for total, count, size in zip(np.add.reduceat(sums, run).tolist(),
+                                  np.add.reduceat(counts, run).tolist(),
+                                  np.diff(run, append=start.size).tolist()):
+        while blocks and blocks[-1][0] * count > total * blocks[-1][1]:
+            t, c, z = blocks.pop()
+            total, count, size = total + t, count + c, size + z
+        blocks.append((total, count, size))
+    total, count, size = np.array(blocks).T
+    return IsotonicMap(breakpoints=s[start], values=np.repeat(total / count, size))
 
 
 def fit_binning(scores, labels, m: int, scheme: str = "equal-width") -> BinningMap:

@@ -1,9 +1,12 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything here is deliberately naive: pure-Python double loops, the
-min-max characterization of monotone least squares, and central finite
-differences. None of it shares code with the library paths it checks.
+min-max characterization of monotone least squares, pool-adjacent-violators
+in exact rational arithmetic, and central finite differences. None of it
+shares code with the library paths it checks.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -89,6 +92,36 @@ def brute_isotonic(scores, labels):
                 worst = min(worst, seg)
             best = max(best, worst)
         fitted.append(best)
+    return np.array(uniq), np.array(fitted)
+
+
+def exact_isotonic(scores, labels):
+    """Monotone least squares by pool-adjacent-violators in exact rationals.
+
+    Ties are pooled first; every block mean is a ``Fraction`` and is
+    rounded to float once, at the end. Returns (unique_scores,
+    fitted_values), each value the correctly rounded exact solution.
+    """
+    pairs = sorted(zip((float(v) for v in scores), (int(v) for v in labels)))
+    uniq = []
+    groups = []
+    for score, label in pairs:
+        if uniq and score == uniq[-1]:
+            groups[-1][0] += label
+            groups[-1][1] += 1
+        else:
+            uniq.append(score)
+            groups.append([label, 1])
+    blocks = []  # [mean, weight, number of distinct scores]
+    for total, weight in groups:
+        blocks.append([Fraction(total, weight), weight, 1])
+        while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
+            mean, weight, size = blocks.pop()
+            prev = blocks[-1]
+            prev[0] = (prev[0] * prev[1] + mean * weight) / (prev[1] + weight)
+            prev[1] += weight
+            prev[2] += size
+    fitted = [float(mean) for mean, _, size in blocks for _ in range(size)]
     return np.array(uniq), np.array(fitted)
 
 

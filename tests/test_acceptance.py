@@ -268,8 +268,8 @@ def test_09_isotonic_oracle():
         bp, values = brute_isotonic(scores, labels)
         np.testing.assert_allclose(fitted.breakpoints, bp)
         worst = max(worst, float(np.max(np.abs(fitted.values - values))))
-    assert worst <= 1e-10
-    _passed(9, f"pool-adjacent-violators equals min-max oracle within {worst:.2e}")
+    assert worst == 0.0
+    _passed(9, "pool-adjacent-violators equals min-max oracle exactly")
 
 
 def test_10_two_class_beta_dirichlet_coincidence():

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import re
 import subprocess
@@ -268,6 +269,21 @@ class TestFitCommand:
         assert rc == 2
 
 
+class TestWriteProbabilities:
+    def test_bytes_match_csv_writer(self, tmp_path, rng):
+        P = rng.random((6, 4))
+        P[0] = [np.nan, np.inf, -np.inf, -0.0]
+        P[1, :3] = [5e-324, 1.0, 0.0]
+        path = tmp_path / "out.csv"
+        cli.write_probabilities(path, P)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow([f"p_{j}" for j in range(4)])
+        for row in P:
+            writer.writerow([repr(float(v)) for v in row])
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
 class TestApplyCommand:
     def test_uncalibrated_identity(self, tmp_path, prob_file):
         path, q, _ = prob_file
@@ -443,6 +459,23 @@ class TestDiagramCommand:
         rc = cli.main(["diagram", str(four_row_file), "-o",
                        str(tmp_path / "missing_dir" / "x.svg")])
         assert rc == 2
+
+    def test_table_beside_extensionless_output_in_dotted_dir(self, four_row_file, tmp_path,
+                                                             monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out.d").mkdir()
+        rc = cli.main(["diagram", str(four_row_file), "--bins", "2", "-o", "out.d/chart"])
+        assert rc == 0
+        assert "<svg" in (tmp_path / "out.d" / "chart").read_text()
+        assert (tmp_path / "out.d" / "chart.csv").read_text().startswith("mode,class,")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_csv_output_rejected(self, four_row_file, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = cli.main(["diagram", str(four_row_file), "--bins", "2", "-o", str(out)])
+        assert rc == 3
+        assert "overwrite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTestCommand:

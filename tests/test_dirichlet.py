@@ -425,6 +425,15 @@ class TestFit:
         fitted = fit(q, y, reg)
         assert abs(fitted.b.sum()) <= 1e-12
 
+    @pytest.mark.parametrize("reg", [OdirConfig(0.0, 1e-2), L2Config(0.0)])
+    def test_unpenalised_w_columns_sum_to_zero(self, rng, reg):
+        # Softmax ignores one vector added to every row of an unpenalised
+        # W; the fit returns the representative whose columns sum to zero.
+        q = random_simplex(rng, 600, 4)
+        y = sample_labels_from_rows(rng, q)
+        fitted = fit(q, y, reg)
+        assert np.max(np.abs(fitted.W.sum(axis=0))) <= 1e-12
+
     def test_l2_intercept_exclusion_flag(self, rng):
         # Imbalanced labels: with a huge penalty on everything the map is
         # pushed to uniform; excluding the intercept leaves b free to

@@ -17,7 +17,7 @@ from probcal.ovr import (
 )
 
 from conftest import random_simplex
-from oracles import brute_isotonic, sample_labels_from_rows
+from oracles import brute_isotonic, exact_isotonic, sample_labels_from_rows
 
 
 class TestIsotonic:
@@ -44,8 +44,22 @@ class TestIsotonic:
             labels = rng.integers(0, 2, size=n).astype(float)
             fitted = fit_isotonic(scores, labels)
             bp, values = brute_isotonic(scores, labels)
-            np.testing.assert_allclose(fitted.breakpoints, bp)
-            np.testing.assert_allclose(fitted.values, values, atol=1e-10)
+            np.testing.assert_array_equal(fitted.breakpoints, bp)
+            np.testing.assert_array_equal(fitted.values, values)
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    @pytest.mark.parametrize("positive_rate", [0.005, 0.05, 0.5])
+    def test_bit_equal_to_exact_oracle(self, ties, positive_rate):
+        local = np.random.default_rng(int(positive_rate * 1000) + ties)
+        n = 2000
+        scores = local.random(n)
+        if ties:
+            scores = np.round(scores, 2)  # about 100 distinct scores
+        labels = (local.random(n) < positive_rate).astype(float)
+        fitted = fit_isotonic(scores, labels)
+        bp, values = exact_isotonic(scores, labels)
+        np.testing.assert_array_equal(fitted.breakpoints, bp)
+        np.testing.assert_array_equal(fitted.values, values)
 
     def test_prediction_stepwise(self):
         fitted = IsotonicMap(breakpoints=np.array([0.2, 0.5, 0.8]), values=np.array([0.1, 0.4, 0.9]))

@@ -209,6 +209,16 @@ class TestFitAffineLogit:
         fitted = fit_affine_logit(z, y, mode=mode, reg=reg)
         assert abs(fitted.b.sum()) <= 1e-12
 
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_unpenalised_w_columns_sum_to_zero(self, k):
+        # With lam = 0 the same vector added to every row of W leaves the
+        # softmax unchanged; the fit returns columns that sum to zero.
+        local = np.random.default_rng(k)
+        z = local.normal(size=(200 * k, k)) * 2.0
+        y = sample_labels_from_rows(local, softmax(z * 0.6, axis=1))
+        fitted = fit_affine_logit(z, y, mode="matrix", reg=OdirConfig(0.0, 1e-2))
+        assert np.max(np.abs(fitted.W.sum(axis=0))) <= 1e-12
+
     def test_rejects_bad_mode(self, rng):
         z = rng.normal(size=(10, 2))
         with pytest.raises(ValueError, match="mode"):
