@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ROW_SUM_TOL, log_transform, softmax
+from .core import ROW_SUM_TOL, as_label_vector, log_transform, softmax
 from .optim import DENSE_NEWTON_MAX_DIM, minimize
 
 
@@ -50,7 +50,8 @@ def _check_simplex_vector(v, k, name):
 
 @dataclass(frozen=True)
 class LinearParams:
-    """Weights of the fitting form softmax(W ln q + b)."""
+    """Weights of the layer softmax(W x + b): the fitting form of a Dirichlet
+    map (x = ln q), and the weights of matrix and vector scaling (x = logits)."""
 
     W: np.ndarray
     b: np.ndarray
@@ -138,31 +139,26 @@ class OdirConfig:
 # Map application
 # ---------------------------------------------------------------------------
 
-def _apply_scores(q, weight, offset):
-    """softmax(weight @ ln(q_row) + offset) for each row of q."""
-    single = np.asarray(q).ndim == 1
-    lnq = log_transform(q)
-    if lnq.ndim == 1:
-        lnq = lnq[None, :]
-    if lnq.shape[1] != weight.shape[0]:
-        raise ValueError(f"expected {weight.shape[0]} classes, got {lnq.shape[1]}")
-    out = softmax(lnq @ weight.T + offset, axis=1)
-    return out[0] if single else out
+def softmax_layer(x, W, b) -> np.ndarray:
+    """softmax(W x + b) of each row x of a 2-d feature matrix."""
+    if x.shape[1] != W.shape[1]:
+        raise ValueError(f"expected {W.shape[1]} classes, got {x.shape[1]}")
+    return softmax(x @ W.T + b, axis=1)
 
 
 def apply_linear(q, params: LinearParams) -> np.ndarray:
     """Apply softmax(W ln q + b) to one or many probability rows."""
-    return _apply_scores(q, params.W, params.b)
+    out = softmax_layer(np.atleast_2d(log_transform(q)), params.W, params.b)
+    return out[0] if np.ndim(q) == 1 else out
 
 
 def apply_canonical(q, params: CanonicalParams) -> np.ndarray:
     """Apply softmax(A ln(q/(1/k)) + ln c); the simplex centre maps to c."""
-    k = params.k
     if np.any(params.c <= 0.0):
         raise ValueError("c contains zero entries; the canonical offset ln c is undefined")
     # A ln(kq) + ln c  ==  A ln q + (ln k * rowsum(A) + ln c)
-    offset = np.log(float(k)) * params.A.sum(axis=1) + np.log(params.c)
-    return _apply_scores(q, params.A, offset)
+    offset = np.log(float(params.k)) * params.A.sum(axis=1) + np.log(params.c)
+    return apply_linear(q, LinearParams(W=params.A, b=offset))
 
 
 def apply_generative(q, params: GenerativeParams) -> np.ndarray:
@@ -171,20 +167,14 @@ def apply_generative(q, params: GenerativeParams) -> np.ndarray:
     Densities are evaluated in log space via log-gamma, so very peaked
     parameter rows stay finite.
     """
-    single = np.asarray(q).ndim == 1
-    lnq = log_transform(q)
-    if lnq.ndim == 1:
-        lnq = lnq[None, :]
-    if lnq.shape[1] != params.k:
-        raise ValueError(f"expected {params.k} classes, got {lnq.shape[1]}")
-    # log f_j(q) = sum_i (alpha_ji - 1) ln q_i - ln B(alpha_j)
-    log_dens = lnq @ (params.alpha - 1.0).T - _log_beta(params.alpha)
+    # log pi_j f_j(q) = sum_i (alpha_ji - 1) ln q_i + ln pi_j - ln B(alpha_j):
+    # the layer of from_generative, kept here because pi may contain zeros.
     with np.errstate(divide="ignore"):
-        log_post = log_dens + np.log(params.pi)
-    if np.any(np.isnan(log_post)):
+        offset = np.log(params.pi) - _log_beta(params.alpha)
+    out = softmax_layer(np.atleast_2d(log_transform(q)), params.alpha - 1.0, offset)
+    if np.any(np.isnan(out)):
         raise ValueError("non-finite Dirichlet density")
-    out = softmax(log_post, axis=1)
-    return out[0] if single else out
+    return out[0] if np.ndim(q) == 1 else out
 
 
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
@@ -240,56 +230,60 @@ def to_generative(params: CanonicalParams) -> GenerativeParams:
 # Fitting: penalized multinomial logistic regression on log-probabilities
 # ---------------------------------------------------------------------------
 
-def _penalty_matrices(reg, k: int):
-    """Per-entry quadratic penalty weights for W (k x k) and b (k,)."""
+def _penalty_matrix(reg, k: int):
+    """Per-entry quadratic penalty weights of [W | b], shape (k, k+1)."""
     if isinstance(reg, L2Config):
         count = k * k + (k if reg.include_intercept else 0)
-        pen_w = np.full((k, k), reg.lam / count)
-        pen_b = np.full(k, reg.lam / count if reg.include_intercept else 0.0)
+        pen = np.full((k, k + 1), reg.lam / count)
+        if not reg.include_intercept:
+            pen[:, k] = 0.0
     elif isinstance(reg, OdirConfig):
-        pen_w = np.full((k, k), reg.lam / (k * (k - 1)))
-        np.fill_diagonal(pen_w, 0.0)
-        pen_b = np.full(k, reg.mu / k)
+        pen = np.full((k, k + 1), reg.lam / (k * (k - 1)))
+        np.fill_diagonal(pen, 0.0)
+        pen[:, k] = reg.mu / k
     else:
         raise TypeError(f"reg must be L2Config or OdirConfig, got {type(reg).__name__}")
-    return pen_w, pen_b
+    return pen
+
+
+def _free_mask(k: int, diagonal: bool):
+    """The fitted entries of [W | b]: [I | 1] for diagonal W, all otherwise."""
+    free = np.ones((k, k + 1), dtype=bool)
+    if diagonal:
+        free[:, :k] = np.eye(k, dtype=bool)
+    return free
 
 
 def _unpack(theta, free):
-    """(W, b) from the parameter vector [free entries of W row by row, b]."""
-    m = np.count_nonzero(free)
-    W = np.zeros(free.shape)
-    W[free] = theta[:m]
-    return W, theta[m:]
+    """The (k, k+1) matrix [W | b] whose ``free`` entries, row by row, are theta."""
+    M = np.zeros(free.shape)
+    M[free] = theta
+    return M
 
 
-def _value_grad(theta, feats, onehot, pen_w, pen_b, free):
+def _value_grad(theta, X, onehot, pen, free):
     n = onehot.shape[0]
-    W, b = _unpack(theta, free)
-    scores = feats @ W.T + b
+    M = _unpack(theta, free)
+    scores = X @ M.T
     shifted = scores - scores.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1))
     logp = shifted - log_norm[:, None]
     value = -(logp[np.arange(n), onehot.argmax(axis=1)]).mean()
-    value += float((pen_w * W * W).sum() + (pen_b * b * b).sum())
+    value += float((pen * M * M).sum())
     resid = (np.exp(logp) - onehot) / n
-    grad_w = resid.T @ feats + 2.0 * pen_w * W
-    grad_b = resid.sum(axis=0) + 2.0 * pen_b * b
-    return value, np.concatenate([grad_w[free], grad_b])
+    return value, (resid.T @ X + 2.0 * pen * M)[free]
 
 
-def _hessian(theta, feats, pen_w, pen_b, free):
-    n, k = feats.shape
-    W, b = _unpack(theta, free)
-    P = softmax(feats @ W.T + b, axis=1)
-    faug = np.hstack([feats, np.ones((n, 1))])  # (n, k+1)
-    # Class-block layout: parameter block a is (free W[a, :], b_a), which
-    # multiplies G[:, a], the columns of faug it sees. With every entry free
-    # G is a broadcast view: no copy, and each G[:, a] has faug's own layout.
+def _hessian(theta, X, pen, free):
+    n, k = X.shape[0], free.shape[0]
+    P = softmax(X @ _unpack(theta, free).T, axis=1)
+    # Class-block layout: block a holds the free entries of row a of [W | b],
+    # which multiply G[:, a], the columns of X they see. With every entry
+    # free G is a broadcast view: no copy, and each G[:, a] has X's layout.
     if free.all():
-        G = np.broadcast_to(faug[:, None, :], (n, k, k + 1))
+        G = np.broadcast_to(X[:, None, :], (n, k, k + 1))
     else:
-        G = faug[:, np.column_stack([np.nonzero(free)[1].reshape(k, -1), np.full(k, k)])]
+        G = X[:, np.nonzero(free)[1].reshape(k, -1)]
     width = G.shape[2]
     V = (P[:, :, None] * G).reshape(n, k * width)
     H = -(V.T @ V)
@@ -297,24 +291,21 @@ def _hessian(theta, feats, pen_w, pen_b, free):
         s = a * width
         H[s : s + width, s : s + width] += G[:, a].T @ (G[:, a] * P[:, a : a + 1])
     H /= n
-    # Reorder into the [free W entries, b] layout used by the objective.
-    blocks = np.arange(k * width).reshape(k, width)
-    perm = np.concatenate([blocks[:, :-1].ravel(), blocks[:, -1]])
-    H = H[np.ix_(perm, perm)]
-    H[np.diag_indices_from(H)] += np.concatenate([2.0 * pen_w[free], 2.0 * pen_b])
+    H[np.diag_indices_from(H)] += 2.0 * pen[free]
     return H
 
 
 class _HessianOperator:
     """The Hessian of ``_value_grad`` at theta, applied as products.
 
-    ``matvec(v)`` is H v = [X' R / n, 1' R / n] + 2 pen * v with
-    U = X V' + v_b and R = P*U - P*rowsum(P*U), where (V, v_b) unpacks v:
+    ``matvec(v)`` is H v = (R' X / n)[free] + 2 pen * v with U = X V' and
+    R = P*U - P*rowsum(P*U), where V unpacks v into a (k, k+1) matrix:
     O(n k^2) per product, where the dense ``_hessian`` costs O(n k^4).
     ``precondition`` applies the inverse of the Hessian's block diagonal
-    (block-Jacobi): block a couples class a's parameters (free W[a, :],
-    b_a) and equals G_a' diag(P_a (1 - P_a)) G_a / n plus their penalty,
-    where G_a holds the columns of [X, 1] those parameters multiply.
+    (block-Jacobi): block a couples the free entries of row a of [W | b],
+    which are contiguous in theta, and equals G_a' diag(P_a (1 - P_a)) G_a / n
+    plus their penalty, where G_a holds the columns of X = [x, 1] they
+    multiply.
 
     One operator serves one CG solve and counts its products in
     ``products``. Building the blocks costs O(n k^3), as much as k or so
@@ -330,15 +321,10 @@ class _HessianOperator:
     #: build, past which the next operator builds fresh blocks.
     REBUILD_RATIO = 2
 
-    def __init__(self, theta, feats, pen_w, pen_b, free, previous=None):
-        k = feats.shape[1]
-        W, b = _unpack(theta, free)
-        self.feats, self.free = feats, free
-        self.probs = softmax(feats @ W.T + b, axis=1)
-        self.pen = 2.0 * np.concatenate([pen_w[free], pen_b])
-        m = np.count_nonzero(free)
-        #: Row a: the positions of class a's parameters in theta.
-        self.index = np.column_stack([np.arange(m).reshape(k, -1), m + np.arange(k)])
+    def __init__(self, theta, X, pen, free, previous=None):
+        self.X, self.free = X, free
+        self.probs = softmax(X @ _unpack(theta, free).T, axis=1)
+        self.pen = 2.0 * pen[free]
         self.products = 0
         if previous is None or previous.products > self.REBUILD_RATIO * previous.baseline:
             self._build()
@@ -353,18 +339,17 @@ class _HessianOperator:
         return self.products if self._baseline is None else self._baseline
 
     def _build(self):
-        n, k = self.feats.shape
-        # Rows of faug_t are the columns of [feats, 1]; G_a' diag(w) G_a is
-        # formed as S S' with S = G_a' diag(sqrt(w)), a symmetric BLAS product.
-        faug_t = np.vstack([self.feats.T, np.ones(n)])
-        cols = np.column_stack([self.free, np.ones(k, dtype=bool)])
+        n, k = self.probs.shape
+        # G_a' diag(w) G_a is formed as S' S with S = diag(sqrt(w)) G_a, a
+        # symmetric BLAS product.
         root_weights = np.sqrt(self.probs * (1.0 - self.probs) / n)
-        width = self.index.shape[1]
+        width = self.pen.size // k
         self.blocks = np.empty((k, width, width))
         for a in range(k):
-            S = (faug_t if cols[a].all() else faug_t[cols[a]]) * root_weights[:, a]
-            self.blocks[a] = S @ S.T
-        self.blocks[:, np.arange(width), np.arange(width)] += self.pen[self.index]
+            G_a = self.X if self.free[a].all() else self.X[:, self.free[a]]
+            S = G_a * root_weights[:, a, None]
+            self.blocks[a] = S.T @ S
+        self.blocks[:, np.arange(width), np.arange(width)] += self.pen.reshape(k, width)
         # A ridge of 1e-10 times the block's mean diagonal keeps the inverse
         # bounded where a class's features are collinear (centred logits,
         # say) and its block is singular or nearly so.
@@ -374,30 +359,23 @@ class _HessianOperator:
 
     def matvec(self, v):
         self.products += 1
-        n = self.feats.shape[0]
-        V, vb = _unpack(v, self.free)
-        PU = self.probs * (self.feats @ V.T + vb)
-        R = (PU - self.probs * PU.sum(axis=1, keepdims=True)) / n
-        return np.concatenate([(R.T @ self.feats)[self.free], R.sum(axis=0)]) + self.pen * v
+        PU = self.probs * (self.X @ _unpack(v, self.free).T)
+        R = (PU - self.probs * PU.sum(axis=1, keepdims=True)) / self.X.shape[0]
+        return (R.T @ self.X)[self.free] + self.pen * v
 
     def precondition(self, r):
-        z = np.empty_like(r)
-        z[self.index] = (self._inverse @ r[self.index][:, :, None])[:, :, 0]
-        return z
+        k, width = self._inverse.shape[:2]
+        return (self._inverse @ r.reshape(k, width, 1)).ravel()
 
 
 def _prepare(feats, labels):
-    """Feature rows as a 2-d array, and the one-hot matrix of checked labels."""
+    """The features [x, 1] of each row x, and the one-hot matrix of checked labels."""
     feats = np.atleast_2d(feats)
     n, k = feats.shape
-    y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (n,):
-        raise ValueError("labels must match the number of prediction rows")
-    if y.size and (y.min() < 0 or y.max() >= k):
-        raise ValueError(f"labels must lie in [0, {k - 1}]")
+    y = as_label_vector(labels, k, n)
     onehot = np.zeros((n, k))
     onehot[np.arange(n), y] = 1.0
-    return feats, onehot
+    return np.column_stack([feats, np.ones(n)]), onehot
 
 
 def objective_and_gradient(params: LinearParams, probs, labels, reg):
@@ -406,21 +384,27 @@ def objective_and_gradient(params: LinearParams, probs, labels, reg):
     The gradient is taken over all k^2 + k parameters in [vec(W), b] order
     and matches central finite differences to high relative accuracy.
     """
-    feats, onehot = _prepare(log_transform(probs), labels)
-    pen_w, pen_b = _penalty_matrices(reg, params.k)
-    theta = np.concatenate([params.W.ravel(), params.b])
-    return _value_grad(theta, feats, onehot, pen_w, pen_b, np.ones_like(params.W, dtype=bool))
+    X, onehot = _prepare(log_transform(probs), labels)
+    M = np.column_stack([params.W, params.b])
+    value, grad = _value_grad(M.ravel(), X, onehot, _penalty_matrix(reg, params.k),
+                              np.ones(M.shape, dtype=bool))
+    grad = grad.reshape(M.shape)
+    return value, np.concatenate([grad[:, :-1].ravel(), grad[:, -1]])
 
 
 def fit_multinomial(feats, labels, reg, diagonal: bool = False,
-                    tol: float = 1e-8, max_iter: int = 500, *, _start=None):
+                    tol: float = 1e-8, max_iter: int = 500, *,
+                    _start=None) -> LinearParams:
     """Fit softmax(W x + b) to feature rows x by penalized maximum likelihood.
 
     The one fitting core behind Dirichlet calibration (x = ln q) and
-    matrix and vector scaling (x = logits). ``diagonal`` keeps W diagonal
-    (vector scaling); otherwise every entry of W is free; b is always free.
-    Starts from W = I, b = 0, or from the ``(W, b)`` of ``_start`` (the
-    previous point of a grid path), and returns the fitted ``(W, b)``,
+    matrix and vector scaling (x = logits). The intercept is the weight of
+    a constant feature: the fit works on one (k, k+1) matrix [W | b] and the
+    feature rows [x, 1]. ``diagonal`` keeps W diagonal (vector scaling);
+    otherwise every entry of W is free; b is always free. The free entries,
+    row by row, are the parameter vector, so each class's parameters are
+    contiguous. Starts from W = I, b = 0, or from ``_start`` (the previous
+    point of a grid path), and returns the fitted ``LinearParams``,
     warning if the fit did not converge. The objective is convex, so the
     start changes the iterates, not the optimum the fit converges to. An
     unpenalised b is free up to a constant shift, and a full unpenalised W
@@ -434,28 +418,28 @@ def fit_multinomial(feats, labels, reg, diagonal: bool = False,
     always uses the dense Hessian: an operator product costs O(n k^2) for
     either structure, as much as the whole dense Hessian of 2k parameters.
     """
-    feats, onehot = _prepare(feats, labels)
+    X, onehot = _prepare(feats, labels)
     n, k = onehot.shape
     if n < k:
         raise ValueError(f"need at least k={k} instances, got {n}")
     if np.unique(np.argmax(onehot, axis=1)).size < 2:
         raise ValueError("labels contain a single class; nothing to fit")
-    pen_w, pen_b = _penalty_matrices(reg, k)
-    free = np.eye(k, dtype=bool) if diagonal else np.ones((k, k), dtype=bool)
-    W0, b0 = (np.eye(k), np.zeros(k)) if _start is None else (_start.W, _start.b)
-    theta0 = np.concatenate([W0[free], b0])
+    pen = _penalty_matrix(reg, k)
+    free = _free_mask(k, diagonal)
+    M0 = np.eye(k, k + 1) if _start is None else np.column_stack([_start.W, _start.b])
+    theta0 = M0[free]
     dense = diagonal or theta0.size <= DENSE_NEWTON_MAX_DIM
     operator = None
 
     def hess(t):
         nonlocal operator
         if dense:
-            return _hessian(t, feats, pen_w, pen_b, free)
-        operator = _HessianOperator(t, feats, pen_w, pen_b, free, operator)
+            return _hessian(t, X, pen, free)
+        operator = _HessianOperator(t, X, pen, free, operator)
         return operator
 
     result = minimize(
-        lambda t: _value_grad(t, feats, onehot, pen_w, pen_b, free),
+        lambda t: _value_grad(t, X, onehot, pen, free),
         theta0,
         hess=hess,
         tol=tol,
@@ -468,9 +452,10 @@ def fit_multinomial(feats, labels, reg, diagonal: bool = False,
             RuntimeWarning,
             stacklevel=3,
         )
-    W, b = _unpack(result.params, free)
-    W = W if diagonal or pen_w.any() else W - W.mean(axis=0)
-    return W, (b if pen_b.any() else b - b.mean())
+    M = _unpack(result.params, free)
+    W, b = M[:, :k], M[:, k]
+    W = W if diagonal or pen[:, :k].any() else W - W.mean(axis=0)
+    return LinearParams(W=W, b=b if pen[:, k].any() else b - b.mean())
 
 
 def fit(probs, labels, reg, tol: float = 1e-8, max_iter: int = 500, *,
@@ -496,9 +481,8 @@ def fit(probs, labels, reg, tol: float = 1e-8, max_iter: int = 500, *,
         ``_start`` when a grid search fits its points as a path; the
         objective is convex, so the start affects speed only.
     """
-    W, b = fit_multinomial(log_transform(probs), labels, reg, tol=tol, max_iter=max_iter,
+    return fit_multinomial(log_transform(probs), labels, reg, tol=tol, max_iter=max_iter,
                            _start=_start)
-    return LinearParams(W=W, b=b)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def _affine_spec(mode, reg, defaults) -> MethodSpec:
             X, y, mode=mode, reg=reg(h), tol=tol, max_iter=max_iter, _start=start),
         apply=lambda params, X, floor: scaling.apply_affine_logit(X, params),
         to_json=_weights_to_json,
-        from_json=lambda obj: scaling.AffineLogitParams(W=np.array(obj["W"]), b=np.array(obj["b"])),
+        from_json=lambda obj: dirichlet.LinearParams(W=np.array(obj["W"]), b=np.array(obj["b"])),
         defaults=defaults,
     )
 
@@ -179,6 +179,8 @@ class CalibratorModel:
         method_spec(self.method)
         if self.k < 2:
             raise ValueError("k must be at least 2")
+        if getattr(self.params, "k", self.k) != self.k:
+            raise ValueError(f"parameters are for {self.params.k} classes, model declares {self.k}")
         if not self.label_names:
             self.label_names = [str(i) for i in range(self.k)]
         if len(self.label_names) != self.k:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_CLIP_FLOOR, as_probability_matrix, clip_probabilities
+from .core import DEFAULT_CLIP_FLOOR, as_label_vector, as_probability_matrix, clip_probabilities
 from .dirichlet import L2Config, fit as _fit_dirichlet
 
 
@@ -209,9 +209,7 @@ _BINARY_FITTERS = {
 def fit_ovr(probs, labels, kind: str, **config) -> OneVsRestModel:
     """Fit one binary calibrator per class on column j vs indicator(y == j)."""
     p = as_probability_matrix(probs)
-    y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (p.shape[0],):
-        raise ValueError("labels must match the number of prediction rows")
+    y = as_label_vector(labels, p.shape[1], p.shape[0])
     if kind not in _BINARY_FITTERS:
         raise ValueError(f"unknown one-vs-rest kind {kind!r}")
     fitter = _BINARY_FITTERS[kind]

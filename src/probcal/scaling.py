@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_logit_matrix, softmax
-from .dirichlet import LinearParams, OdirConfig, fit_multinomial
+from .core import as_label_vector, as_logit_matrix, softmax
+from .dirichlet import LinearParams, OdirConfig, fit_multinomial, softmax_layer
 from .optim import minimize_scalar
 
 #: Search bounds for the fitted temperature.
@@ -32,28 +32,9 @@ class TemperatureParams:
             raise ValueError("temperature must be a positive finite number")
 
 
-@dataclass(frozen=True)
-class AffineLogitParams:
-    """Weights of softmax(W z + b); vector-scaling fits keep W diagonal."""
-
-    W: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        W = np.asarray(self.W, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise ValueError("W must be square")
-        if b.shape != (W.shape[0],):
-            raise ValueError("b must have length k")
-        if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
-            raise ValueError("parameters must be finite")
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def k(self) -> int:
-        return self.W.shape[0]
+#: Weights of softmax(W z + b) on logits z: the same layer as the Dirichlet
+#: map's linear form, so the same type. Vector-scaling fits keep W diagonal.
+AffineLogitParams = LinearParams
 
 
 def _as_temperature(params) -> float:
@@ -81,9 +62,7 @@ def fit_temperature(z, labels, t_min: float = T_MIN, t_max: float = T_MAX,
     prediction correct) or flattening (predictions uninformative).
     """
     z = as_logit_matrix(z)
-    y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (z.shape[0],):
-        raise ValueError("labels must match the number of logit rows")
+    y = as_label_vector(labels, z.shape[1], z.shape[0])
     if np.unique(y).size < 2:
         raise ValueError("labels contain a single class; nothing to fit")
     rows = np.arange(z.shape[0])
@@ -139,29 +118,26 @@ def fit_affine_logit(z, labels, mode: str = "matrix",
     reg : OdirConfig
         Off-diagonal weight ``lam`` and intercept weight ``mu``.
 
-    Both modes start from the identity (W = I, b = 0), or from the map
+    This is the Dirichlet map's layer on logits instead of ln q, fitted by
+    the same core with b as the weight of a constant feature, so the result
+    is a ``LinearParams`` (``AffineLogitParams`` names the same type). Both
+    modes start from the identity (W = I, b = 0), or from the map
     ``_start`` when a grid search fits its points as a path, and use Newton
     steps with a backtracking line search (``dirichlet.fit_multinomial``):
     vector scaling, and matrix scaling up to k = 15, solve each step with
     the dense Hessian; larger matrix-scaling fits use Newton-CG on
     Hessian-vector products.
     """
-    z = as_logit_matrix(z)
     if mode not in ("matrix", "vector"):
         raise ValueError(f"mode must be 'matrix' or 'vector', got {mode!r}")
-    W, b = fit_multinomial(z, labels, reg, diagonal=mode == "vector", tol=tol, max_iter=max_iter,
-                           _start=_start)
-    return AffineLogitParams(W=W, b=b)
+    return fit_multinomial(as_logit_matrix(z), labels, reg, diagonal=mode == "vector", tol=tol,
+                           max_iter=max_iter, _start=_start)
 
 
 def apply_affine_logit(z, params: AffineLogitParams) -> np.ndarray:
     """Row-wise softmax(W z + b)."""
-    single = np.asarray(z).ndim == 1
-    z = as_logit_matrix(z)
-    if z.shape[1] != params.k:
-        raise ValueError(f"expected {params.k} classes, got {z.shape[1]}")
-    out = softmax(z @ params.W.T + params.b, axis=1)
-    return out[0] if single else out
+    out = softmax_layer(as_logit_matrix(z), params.W, params.b)
+    return out[0] if np.ndim(z) == 1 else out
 
 
 def zero_offdiagonal(params: AffineLogitParams) -> AffineLogitParams:

@@ -221,15 +221,14 @@ def test_07_gradient_correctness():
         worst = max(worst, rel)
 
         # matrix-scaling objective: same machinery on logit features
-        from probcal.dirichlet import _penalty_matrices, _value_grad
+        from probcal.dirichlet import _penalty_matrix, _prepare, _value_grad
 
         z = rng.normal(size=(n, k)) * 2.0
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), y] = 1.0
-        pen_w, pen_b = _penalty_matrices(reg_dir, k)
-        full = np.ones((k, k), dtype=bool)
-        _, grad_z = _value_grad(theta, z, onehot, pen_w, pen_b, full)
-        fd_z = central_difference(lambda t: _value_grad(t, z, onehot, pen_w, pen_b, full)[0], theta)
+        X, onehot = _prepare(z, y)
+        pen = _penalty_matrix(reg_dir, k)
+        full = np.ones((k, k + 1), dtype=bool)
+        _, grad_z = _value_grad(theta, X, onehot, pen, full)
+        fd_z = central_difference(lambda t: _value_grad(t, X, onehot, pen, full)[0], theta)
         rel_z = np.max(np.abs(fd_z - grad_z)) / max(1.0, np.max(np.abs(grad_z)))
         worst = max(worst, rel_z)
     assert worst < 1e-5

@@ -571,6 +571,17 @@ class TestInspectCommand:
             assert out == ""
             assert "inspect supports dirichlet_l2, dirichlet_odir and temperature" in err
 
+    def test_params_for_another_k_rejected(self, tmp_path, capsys):
+        model_path = tmp_path / "k3.json"
+        model_path.write_text(json.dumps({
+            "schema": "probcal-model-v1", "type": "single", "method": "dirichlet_l2", "k": 3,
+            "params": {"W": np.eye(2).tolist(), "b": [0.0, 0.0]}}))
+        rc = cli.main(["inspect", str(model_path)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert "invalid model file" in err
+
     def test_non_dirichlet_rejected(self, tmp_path, prob_file, capsys):
         path, _, _ = prob_file
         model_path = tmp_path / "iso.json"

@@ -111,6 +111,25 @@ class TestValidators:
         y = as_label_vector([0, 2], k=3, n=2)
         assert y.dtype == np.int64
 
+    @pytest.mark.parametrize("bad", [2.7, -1, 3], ids=["fractional", "negative", "k"])
+    @pytest.mark.parametrize("fitter", ["dirichlet", "affine_logit", "temperature", "ovr"])
+    def test_fitters_reject_bad_labels(self, rng, fitter, bad):
+        from probcal.dirichlet import L2Config, fit
+        from probcal.ovr import fit_ovr
+        from probcal.scaling import fit_affine_logit, fit_temperature
+
+        q = random_simplex(rng, 30, 3)
+        y = (np.arange(30) % 3).astype(float)
+        y[0] = bad
+        fit_one = {
+            "dirichlet": lambda: fit(q, y, L2Config(1e-3)),
+            "affine_logit": lambda: fit_affine_logit(np.log(q), y),
+            "temperature": lambda: fit_temperature(np.log(q), y),
+            "ovr": lambda: fit_ovr(q, y, "isotonic"),
+        }[fitter]
+        with pytest.raises(ValueError, match="labels must"):
+            fit_one()
+
     def test_dataset_row_mismatch(self):
         with pytest.raises(ValueError):
             CalibrationDataset(np.array([[0.5, 0.5]]), np.array([0, 1]))

@@ -10,14 +10,18 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["01_dirichlet_map_tour.py", "02_fit_and_evaluate.py"])
-def test_demo_exits_cleanly(demo):
+@pytest.mark.parametrize("demo", [
+    "01_dirichlet_map_tour.py", "02_fit_and_evaluate.py", "03_reliability_diagrams.py",
+    "04_significance_test.py", "05_nested_cv_compare.py",
+])
+def test_demo_exits_cleanly(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    # The demos write into the working directory (03 makes ./diagram_output).
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
-        capture_output=True, text=True, env=env, cwd=ROOT, timeout=300,
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "demos" / demo)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

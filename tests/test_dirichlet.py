@@ -248,30 +248,28 @@ class TestFit:
     @pytest.mark.parametrize("reg", [L2Config(0.1), OdirConfig(0.3, 0.2)], ids=["l2", "odir"])
     @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
     def test_hessian_matches_finite_differences(self, rng, reg, diagonal):
-        from probcal.dirichlet import _hessian, _penalty_matrices, _value_grad
+        from probcal.dirichlet import _free_mask, _hessian, _penalty_matrix, _prepare, _value_grad
 
         k = 3
-        feats = rng.normal(size=(40, k))
-        onehot = np.eye(k)[rng.integers(0, k, size=40)]
-        pen_w, pen_b = _penalty_matrices(reg, k)
-        free = np.eye(k, dtype=bool) if diagonal else np.ones((k, k), dtype=bool)
-        theta = rng.normal(scale=0.5, size=np.count_nonzero(free) + k)
-        H = _hessian(theta, feats, pen_w, pen_b, free)
+        X, onehot = _prepare(rng.normal(size=(40, k)), rng.integers(0, k, size=40))
+        pen = _penalty_matrix(reg, k)
+        free = _free_mask(k, diagonal)
+        theta = rng.normal(scale=0.5, size=np.count_nonzero(free))
+        H = _hessian(theta, X, pen, free)
         fd = np.column_stack([
-            central_difference(lambda t, i=i: _value_grad(t, feats, onehot, pen_w, pen_b, free)[1][i], theta)
+            central_difference(lambda t, i=i: _value_grad(t, X, onehot, pen, free)[1][i], theta)
             for i in range(theta.size)
         ])
         assert np.max(np.abs(fd - H)) / max(1.0, np.max(np.abs(H))) < 1e-5
 
     @staticmethod
     def _dense_and_operator(rng, reg, diagonal, k=4, n=50):
-        from probcal.dirichlet import _hessian, _HessianOperator, _penalty_matrices
+        from probcal.dirichlet import _free_mask, _hessian, _HessianOperator, _penalty_matrix
 
-        feats = rng.normal(size=(n, k))
-        pen_w, pen_b = _penalty_matrices(reg, k)
-        free = np.eye(k, dtype=bool) if diagonal else np.ones((k, k), dtype=bool)
-        theta = rng.normal(scale=0.5, size=np.count_nonzero(free) + k)
-        args = (theta, feats, pen_w, pen_b, free)
+        X = np.column_stack([rng.normal(size=(n, k)), np.ones(n)])
+        free = _free_mask(k, diagonal)
+        theta = rng.normal(scale=0.5, size=np.count_nonzero(free))
+        args = (theta, X, _penalty_matrix(reg, k), free)
         return _hessian(*args), _HessianOperator(*args)
 
     @pytest.mark.parametrize("reg", [L2Config(0.1), OdirConfig(0.3, 0.2)], ids=["l2", "odir"])
@@ -288,15 +286,17 @@ class TestFit:
     def test_preconditioner_blocks_are_dense_class_blocks(self, rng, reg, diagonal):
         H, op = self._dense_and_operator(rng, reg, diagonal)
         k = op.blocks.shape[0]
-        # Every parameter sits in exactly one class block.
-        assert np.array_equal(np.sort(op.index.ravel()), np.arange(H.shape[0]))
+        # Class a's parameters are the a-th run of theta, and every parameter
+        # sits in exactly one class block.
+        index = np.arange(H.shape[0]).reshape(k, -1)
+        assert op.blocks.shape == (k, index.shape[1], index.shape[1])
         r = rng.normal(size=H.shape[0])
         z = op.precondition(r)
         for a in range(k):
-            block = H[np.ix_(op.index[a], op.index[a])]
+            block = H[np.ix_(index[a], index[a])]
             assert np.max(np.abs(op.blocks[a] - block)) <= 1e-12 * np.max(np.abs(block))
             # precondition() solves with the block plus a 1e-10 relative ridge.
-            np.testing.assert_allclose(z[op.index[a]], np.linalg.solve(block, r[op.index[a]]),
+            np.testing.assert_allclose(z[index[a]], np.linalg.solve(block, r[index[a]]),
                                        rtol=1e-6)
 
     def test_fit_past_dense_newton_limit_converges(self, rng):

@@ -3,7 +3,7 @@ import pytest
 
 from probcal import harness
 from probcal.core import LOGITS, clip_probabilities, log_transform, softmax
-from probcal.dirichlet import OdirConfig, _penalty_matrices, _prepare, _value_grad
+from probcal.dirichlet import OdirConfig, _penalty_matrix, _prepare, _value_grad
 from probcal.harness import HyperGrid, compare_methods, cross_val_fit, stratified_folds
 from probcal.metrics import log_loss
 from probcal.models import METHOD_INPUT, METHODS, EnsembleModel, fit_calibrator
@@ -100,9 +100,9 @@ class TestWarmStartedGrid:
         if member.input_kind != LOGITS:
             X = log_transform(clip_probabilities(X, member.clip_floor))
         feats, onehot = _prepare(X, y)
-        pen_w, pen_b = _penalty_matrices(OdirConfig(**member.hyperparams), W.shape[0])
-        theta = np.concatenate([W.ravel(), b])
-        _, grad = _value_grad(theta, feats, onehot, pen_w, pen_b, np.ones(W.shape, dtype=bool))
+        M = np.column_stack([W, b])
+        pen = _penalty_matrix(OdirConfig(**member.hyperparams), W.shape[0])
+        _, grad = _value_grad(M.ravel(), feats, onehot, pen, np.ones(M.shape, dtype=bool))
         return np.max(np.abs(grad))
 
     # k = 5 takes dense Newton steps, k = 20 (420 parameters) Newton-CG.

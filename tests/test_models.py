@@ -175,6 +175,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             model_from_dict({"schema": "other", "type": "single"})
 
+    def test_rejects_params_for_another_k(self):
+        doc = {"schema": "probcal-model-v1", "type": "single", "method": "dirichlet_l2",
+               "k": 3, "params": {"W": np.eye(2).tolist(), "b": [0.0, 0.0]}}
+        with pytest.raises(ValueError, match="2 classes"):
+            model_from_dict(doc)
+
     def test_rejects_bad_type(self):
         with pytest.raises(ValueError):
             model_from_dict({"schema": "probcal-model-v1", "type": "stack"})

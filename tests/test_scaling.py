@@ -154,18 +154,15 @@ class TestFitAffineLogit:
             assert ll_m <= ll_v + 1e-9
 
     def test_vector_gradient_matches_finite_differences(self, rng):
-        from probcal.dirichlet import _value_grad
+        from probcal.dirichlet import _free_mask, _prepare, _value_grad
 
-        z = rng.normal(size=(40, 3))
-        y = rng.integers(0, 3, size=40)
-        onehot = np.zeros((40, 3))
-        onehot[np.arange(40), y] = 1.0
-        pen_w = np.zeros((3, 3))
-        pen_b = np.full(3, 0.2 / 3)
-        diagonal = np.eye(3, dtype=bool)
+        X, onehot = _prepare(rng.normal(size=(40, 3)), rng.integers(0, 3, size=40))
+        pen = np.zeros((3, 4))
+        pen[:, 3] = 0.2 / 3
+        diagonal = _free_mask(3, diagonal=True)
         theta = rng.normal(size=6)
-        _, grad = _value_grad(theta, z, onehot, pen_w, pen_b, diagonal)
-        fd = central_difference(lambda t: _value_grad(t, z, onehot, pen_w, pen_b, diagonal)[0], theta)
+        _, grad = _value_grad(theta, X, onehot, pen, diagonal)
+        fd = central_difference(lambda t: _value_grad(t, X, onehot, pen, diagonal)[0], theta)
         assert np.max(np.abs(fd - grad)) / max(1.0, np.max(np.abs(grad))) < 1e-5
 
     def test_matrix_on_centred_logits_past_dense_newton_limit(self, rng):
