@@ -13,7 +13,9 @@ parameter arrays at full precision, the label dictionary, and the fit
 metadata (hyperparameters, seed, timestamp). Isotonic maps are stored as
 one breakpoint per block of equal values.
 
-Exit codes: 0 success, 2 parse error, 3 validation error, 4 fit failure.
+Exit codes: 0 success (also a fit that stops short of its tolerance, which
+warns on stderr, and a run whose stdout reader goes away, as in ``| head``),
+2 parse error, 3 validation error, 4 fit failure (non-finite objective at start).
 """
 
 import argparse
@@ -31,7 +33,7 @@ from .harness import LAMBDA_GRID, HyperGrid, compare_methods, cross_val_fit
 from .metrics import DEFAULT_BINS, classwise_reliability, confidence_reliability, evaluate
 from .models import METHOD_INPUT, METHOD_SPECS, METHODS, EnsembleModel, method_spec, model_from_dict
 from .optim import OptimizationError
-from .stattest import calibration_test
+from .stattest import acceptance_rate, calibration_test
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -301,8 +303,6 @@ def _read_labelled(args):
 
 def cmd_fit(args) -> int:
     X, _, y, names = _read_labelled(args)
-    if X.shape[0] < args.folds:
-        raise ValueError(f"need at least {args.folds} rows for {args.folds} folds")
     grid = _parse_grid(args.grid, args.decouple_mu) if args.grid else None
     fixed = _fixed_hyper(args)
     model, best_hyper, _ = cross_val_fit(
@@ -322,8 +322,6 @@ def cmd_apply(args) -> int:
     X, kind, _ = read_predictions(args.input)
     if kind != model.input_kind:
         raise ValueError(f"model expects {model.input_kind} input, file contains {kind}")
-    if X.shape[1] != model.k:
-        raise ValueError(f"model expects {model.k} classes, input has {X.shape[1]}")
     P = model.apply(X)
     write_probabilities(args.output, P)
     print(f"calibrated {P.shape[0]} rows -> {args.output}")
@@ -333,7 +331,7 @@ def cmd_apply(args) -> int:
 def cmd_eval(args) -> int:
     X, _, y, _ = _read_labelled(args)
     report = evaluate(X, y, args.bins, args.clip_floor)
-    if args.resamples > 0:
+    if args.resamples:
         conf_t = calibration_test(X, y, "conf_ece", args.bins, args.resamples, args.seed)
         cw_t = calibration_test(X, y, "cw_ece", args.bins, args.resamples, args.seed + 1)
         report.p_conf_ece = conf_t.p_value
@@ -378,7 +376,7 @@ def cmd_test(args) -> int:
         "resamples": result.n_resamples,
         "seed": result.seed,
         "alpha": args.alpha,
-        "decision": "accept" if result.p_value > args.alpha else "reject",
+        "decision": "accept" if acceptance_rate([result], args.alpha) else "reject",
     }
     _emit_records([record], args.format, sys.stdout)
     return EXIT_OK
@@ -388,14 +386,9 @@ def cmd_compare(args) -> int:
     X, kind, y, _ = _read_labelled(args)
     if args.methods:
         methods = [m.strip() for m in args.methods.split(",")]
-        for m in methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}")
     else:
         methods = [m for m in METHODS if METHOD_INPUT[m] == kind or kind == LOGITS]
-    grids = None
-    if args.grid:
-        grids = {m: _parse_grid(args.grid, args.decouple_mu) for m in methods}
+    grids = {m: _parse_grid(args.grid, args.decouple_mu) for m in methods} if args.grid else None
     results = compare_methods(
         X, y, kind, methods, repeats=args.repeats, outer_folds=args.folds,
         inner_folds=args.inner_folds, grids=grids, bins=args.bins,
@@ -431,8 +424,7 @@ def cmd_inspect(args) -> int:
             ],
         })
     if args.format == "json-lines":
-        for rec in records:
-            sys.stdout.write(json.dumps(rec) + "\n")
+        _emit_records(records, args.format, sys.stdout)
     else:
         for rec in records:
             print(f"member {rec['member']} ({rec['method']})")
@@ -550,17 +542,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     try:
-        return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone (``probcal inspect m.json | head``).
+        # Point stdout at the null device, so the interpreter's final flush
+        # does not fail again, and end quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except OptimizationError as exc:
         print(f"fit failure: {exc}", file=sys.stderr)
         return EXIT_FIT
     except (ValueError, TypeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

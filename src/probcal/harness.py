@@ -92,8 +92,6 @@ def cross_val_fit(method: str, X, y, folds: int, seed: int = 0,
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
-    if X.shape[0] < folds:
-        raise ValueError(f"need at least {folds} instances, got {X.shape[0]}")
     if grid is None:
         candidates = [dict(fixed_hyper if fixed_hyper is not None else method_spec(method).defaults)]
     else:
@@ -135,6 +133,12 @@ def cross_val_fit(method: str, X, y, folds: int, seed: int = 0,
     return model, best_hyper, table
 
 
+#: The measures of a MethodComparison, in output order: the fold reports'
+#: means, then the significance tests' acceptance rates.
+MEASURES = ("accuracy", "error_rate", "log_loss", "brier", "conf_ece", "cw_ece", "mce",
+            "p_conf_ece", "p_cw_ece")
+
+
 @dataclass
 class MethodComparison:
     """Aggregated measures of one method over the outer folds."""
@@ -153,18 +157,7 @@ class MethodComparison:
     p_cw_ece: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "accuracy": self.accuracy,
-            "error_rate": self.error_rate,
-            "log_loss": self.log_loss,
-            "brier": self.brier,
-            "conf_ece": self.conf_ece,
-            "cw_ece": self.cw_ece,
-            "mce": self.mce,
-            "p_conf_ece": self.p_conf_ece,
-            "p_cw_ece": self.p_cw_ece,
-        }
+        return {"method": self.method, **{name: getattr(self, name) for name in MEASURES}}
 
 
 def compare_methods(X, y, kind: str, methods, repeats: int = 5, outer_folds: int = 5,
@@ -196,13 +189,15 @@ def compare_methods(X, y, kind: str, methods, repeats: int = 5, outer_folds: int
     y = np.asarray(y, dtype=np.int64)
     if kind not in (PROBABILITIES, LOGITS):
         raise ValueError(f"unknown prediction kind {kind!r}")
+    if repeats < 1:
+        raise ValueError("need at least 1 repeat")
     for method in methods:
-        if METHOD_INPUT[method] == LOGITS and kind != LOGITS:
+        if method_spec(method).input == LOGITS and kind != LOGITS:
             raise ValueError(f"method {method} requires logit inputs")
     probs = softmax(X, axis=1) if kind == LOGITS else X
 
-    per_method = {m: {"reports": [], "hypers": [], "conf_tests": [], "cw_tests": []}
-                  for m in methods}
+    # method -> one (report, best hyperparameters, conf test, cw test) per outer fold
+    per_method = {m: [] for m in methods}
     for r in range(repeats):
         outer_seed = int(_mix64(np.uint64(seed % (1 << 64)) + np.uint64(1000 + r)))
         assignment = stratified_folds(y, outer_folds, outer_seed)
@@ -226,29 +221,16 @@ def compare_methods(X, y, kind: str, methods, repeats: int = 5, outer_folds: int
                                         n_resamples, test_seed + 1)
                 report.p_conf_ece = conf_t.p_value
                 report.p_cw_ece = cw_t.p_value
-                slot = per_method[method]
-                slot["reports"].append(report)
-                slot["hypers"].append(best_hyper)
-                slot["conf_tests"].append(conf_t)
-                slot["cw_tests"].append(cw_t)
+                per_method[method].append((report, best_hyper, conf_t, cw_t))
 
     results = []
     for method in methods:
-        slot = per_method[method]
-        reports = slot["reports"]
-        comparison = MethodComparison(
-            method=method,
-            best_hypers=slot["hypers"],
-            fold_reports=reports,
-            accuracy=float(np.mean([rep.accuracy for rep in reports])),
-            error_rate=float(np.mean([rep.error_rate for rep in reports])),
-            log_loss=float(np.mean([rep.log_loss for rep in reports])),
-            brier=float(np.mean([rep.brier for rep in reports])),
-            conf_ece=float(np.mean([rep.conf_ece for rep in reports])),
-            cw_ece=float(np.mean([rep.cw_ece for rep in reports])),
-            mce=float(np.mean([rep.mce for rep in reports])),
-            p_conf_ece=acceptance_rate(slot["conf_tests"], alpha),
-            p_cw_ece=acceptance_rate(slot["cw_tests"], alpha),
-        )
-        results.append(comparison)
+        reports, hypers, conf_tests, cw_tests = map(list, zip(*per_method[method]))
+        means = {name: float(np.mean([getattr(rep, name) for rep in reports]))
+                 for name in MEASURES[:-2]}
+        results.append(MethodComparison(
+            method=method, best_hypers=hypers, fold_reports=reports, **means,
+            p_conf_ece=acceptance_rate(conf_tests, alpha),
+            p_cw_ece=acceptance_rate(cw_tests, alpha),
+        ))
     return results

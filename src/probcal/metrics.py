@@ -40,15 +40,6 @@ class ReliabilityBins:
     mode: str = "confidence"
     class_index: Optional[int] = None
 
-    @property
-    def gaps(self) -> np.ndarray:
-        """Absolute gap per nonempty bin (0 where the bin is empty)."""
-        return np.where(
-            self.counts > 0,
-            np.abs(self.empirical_frequency - self.mean_predicted),
-            0.0,
-        )
-
     def to_table(self):
         """Plain rows (bin_low, bin_high, count, mean_predicted, empirical_frequency)."""
         rows = []
@@ -102,12 +93,15 @@ class _Binning:
         flat = np.bincount(keys.ravel(), minlength=n_rows * (size + 1))
         return flat.reshape(n_rows, size + 1)[:, :size].reshape(n_rows, *self.counts.shape)
 
-    def gaps(self, labels: np.ndarray) -> np.ndarray:
-        """Count-weighted sum over bins of |hit frequency - mean prediction|
-        per label column and prediction column: shape (R, c)."""
+    def bin_gaps(self, labels: np.ndarray) -> np.ndarray:
+        """|hit frequency - mean prediction| per label column, prediction
+        column and bin, 0 where the bin is empty: shape (R, c, m)."""
         freq = self.hits(labels) / np.maximum(self.counts, 1)
-        gaps = np.where(self.counts > 0, np.abs(freq - self.mean), 0.0)
-        return (self.counts / self.n * gaps).sum(axis=-1)
+        return np.where(self.counts > 0, np.abs(freq - self.mean), 0.0)
+
+    def gaps(self, labels: np.ndarray) -> np.ndarray:
+        """Count-weighted sum of ``bin_gaps`` over the bins: shape (R, c)."""
+        return (self.counts / self.n * self.bin_gaps(labels)).sum(axis=-1)
 
     def reliability(self, y: np.ndarray, mode: str, class_index=None) -> ReliabilityBins:
         """Reliability bins of the single prediction column against labels y."""
@@ -132,11 +126,6 @@ def _checked(p, y):
 
 # The underscored helpers below take already-validated arrays; the public
 # measures validate their inputs and delegate to them.
-
-def _max_gap(bins: ReliabilityBins) -> float:
-    gaps = bins.gaps[bins.counts > 0]
-    return float(gaps.max()) if gaps.size else 0.0
-
 
 def _classwise_ece(p, y, m: int):
     per_class = _Binning(p, m).gaps(y[:, None])[0]
@@ -191,7 +180,8 @@ def classwise_ece(p, y, m: int = DEFAULT_BINS):
 
 def mce(p, y, m: int = DEFAULT_BINS) -> float:
     """Maximum |accuracy - confidence| over nonempty confidence bins."""
-    return _max_gap(confidence_reliability(p, y, m))
+    p, y = _checked(p, y)
+    return float(_confidence_binning(p, m).bin_gaps(y[:, None]).max())
 
 
 def brier(p, y) -> float:
@@ -285,7 +275,7 @@ def evaluate(p, y, m: int = DEFAULT_BINS, floor: float = DEFAULT_CLIP_FLOOR) -> 
         conf_ece=float(conf.gaps(y[:, None])[0, 0]),
         cw_ece=cw,
         per_class_ece=per_class,
-        mce=_max_gap(conf.reliability(y, "confidence")),
+        mce=float(conf.bin_gaps(y[:, None]).max()),
         bins=m,
         n=p.shape[0],
         k=p.shape[1],

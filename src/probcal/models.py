@@ -23,7 +23,7 @@ SCHEMA_ID = "probcal-model-v1"
 class MethodSpec:
     """Everything the library needs to know about one method tag.
 
-    ``fit(X, y, hyper, clip_floor, tol, max_iter, start)`` returns the raw
+    ``fit(X, y, hyper, clip_floor, start)`` returns the raw
     parameter object, where ``start`` is None or fitted parameters of the
     same method that an iterative fit may start from (the others ignore
     it); ``apply(params, X, clip_floor)`` returns calibrated
@@ -47,14 +47,18 @@ def _weights_to_json(params) -> dict:
     return {"W": params.W.tolist(), "b": params.b.tolist()}
 
 
+def _weights_from_json(obj: dict) -> dirichlet.LinearParams:
+    return dirichlet.LinearParams(W=np.array(obj["W"]), b=np.array(obj["b"]))
+
+
 def _dirichlet_spec(reg, defaults) -> MethodSpec:
     return MethodSpec(
         input=PROBABILITIES,
-        fit=lambda X, y, h, floor, tol, max_iter, start: dirichlet.fit(
-            clip_probabilities(X, floor), y, reg(h), tol=tol, max_iter=max_iter, _start=start),
+        fit=lambda X, y, h, floor, start: dirichlet.fit(
+            clip_probabilities(X, floor), y, reg(h), _start=start),
         apply=lambda params, X, floor: dirichlet.apply_linear(clip_probabilities(X, floor), params),
         to_json=_weights_to_json,
-        from_json=lambda obj: dirichlet.LinearParams(W=np.array(obj["W"]), b=np.array(obj["b"])),
+        from_json=_weights_from_json,
         defaults=defaults,
         as_dirichlet=lambda params, k: params,
     )
@@ -63,11 +67,11 @@ def _dirichlet_spec(reg, defaults) -> MethodSpec:
 def _affine_spec(mode, reg, defaults) -> MethodSpec:
     return MethodSpec(
         input=LOGITS,
-        fit=lambda X, y, h, floor, tol, max_iter, start: scaling.fit_affine_logit(
-            X, y, mode=mode, reg=reg(h), tol=tol, max_iter=max_iter, _start=start),
+        fit=lambda X, y, h, floor, start: scaling.fit_affine_logit(
+            X, y, mode=mode, reg=reg(h), _start=start),
         apply=lambda params, X, floor: scaling.apply_affine_logit(X, params),
         to_json=_weights_to_json,
-        from_json=lambda obj: dirichlet.LinearParams(W=np.array(obj["W"]), b=np.array(obj["b"])),
+        from_json=_weights_from_json,
         defaults=defaults,
     )
 
@@ -162,6 +166,14 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def _check_document(obj) -> None:
+    """Reject anything but a dict of this schema, top-level or ensemble member."""
+    if not isinstance(obj, dict):
+        raise ValueError("not a calibrator model document")
+    if obj.get("schema") != SCHEMA_ID:
+        raise ValueError(f"unsupported model schema {obj.get('schema')!r}")
+
+
 @dataclass
 class CalibratorModel:
     """One fitted calibration map with its metadata."""
@@ -214,8 +226,7 @@ class CalibratorModel:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "CalibratorModel":
-        if obj.get("schema") != SCHEMA_ID:
-            raise ValueError(f"unsupported model schema {obj.get('schema')!r}")
+        _check_document(obj)
         method = obj["method"]
         return cls(
             method=method,
@@ -279,27 +290,24 @@ class EnsembleModel:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EnsembleModel":
-        if obj.get("schema") != SCHEMA_ID:
-            raise ValueError(f"unsupported model schema {obj.get('schema')!r}")
+        _check_document(obj)
         return cls(members=[CalibratorModel.from_dict(m) for m in obj["members"]])
 
 
 def model_from_dict(obj: dict):
     """Load either a single model or an ensemble from its dict form."""
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ValueError("not a calibrator model document")
-    if obj["type"] == "single":
+    _check_document(obj)
+    if obj.get("type") == "single":
         return CalibratorModel.from_dict(obj)
-    if obj["type"] == "ensemble":
+    if obj.get("type") == "ensemble":
         return EnsembleModel.from_dict(obj)
-    raise ValueError(f"unknown model document type {obj['type']!r}")
+    raise ValueError(f"unknown model document type {obj.get('type')!r}")
 
 
 def fit_calibrator(method: str, X, y, hyper: Optional[dict] = None,
                    label_names: Optional[list] = None,
                    clip_floor: float = DEFAULT_CLIP_FLOOR,
-                   seed: Optional[int] = None,
-                   tol: float = 1e-8, max_iter: int = 500, *,
+                   seed: Optional[int] = None, *,
                    _start: Optional[CalibratorModel] = None) -> CalibratorModel:
     """Fit one method on all of (X, y) and wrap it as a CalibratorModel.
 
@@ -309,7 +317,7 @@ def fit_calibrator(method: str, X, y, hyper: Optional[dict] = None,
     X = np.asarray(X, dtype=float)
     hyper = dict(hyper or {})
     start = None if _start is None else _start.params
-    params = method_spec(method).fit(X, y, hyper, clip_floor, tol, max_iter, start)
+    params = method_spec(method).fit(X, y, hyper, clip_floor, start)
     return CalibratorModel(
         method=method,
         k=X.shape[1],

@@ -33,14 +33,7 @@ _MAX_BACKTRACKS = 60
 
 
 class OptimizationError(RuntimeError):
-    """Raised when the objective or gradient turns non-finite.
-
-    Carries the last finite iterate in ``last_params``.
-    """
-
-    def __init__(self, message: str, last_params: Optional[np.ndarray] = None):
-        super().__init__(message)
-        self.last_params = last_params
+    """Raised when the objective or gradient is non-finite at the start."""
 
 
 @dataclass
@@ -139,7 +132,7 @@ def minimize(
 
     value, grad = fun(x)
     if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-        raise OptimizationError("objective non-finite at starting point", last_params=None)
+        raise OptimizationError("objective non-finite at starting point")
 
     iterations = 0
     gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0

@@ -98,7 +98,7 @@ class OneVsRestModel:
     maps: tuple
 
     def __post_init__(self):
-        if self.kind not in ("isotonic", "width_bin", "freq_bin", "beta"):
+        if self.kind not in _BINARY_FITTERS:
             raise ValueError(f"unknown one-vs-rest kind {self.kind!r}")
         if len(self.maps) < 2:
             raise ValueError("need one calibrator per class, k >= 2")

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -268,6 +269,96 @@ class TestFitCommand:
                        "-o", str(tmp_path / "x.json")])
         assert rc == 2
 
+    def test_more_folds_than_rows(self, tmp_path, capsys):
+        path = tmp_path / "three.csv"
+        write_csv(path, np.array([[0.2, 0.8], [0.6, 0.4], [0.3, 0.7]]), labels=[1, 0, 0])
+        rc = cli.main(["fit", str(path), "--method", "dirichlet_l2", "--folds", "5",
+                       "-o", str(tmp_path / "x.json")])
+        assert rc == 3
+        assert "cannot split 3 instances into 5 folds" in capsys.readouterr().err
+
+
+class TestHyperparameterFlags:
+    def _fit(self, tmp_path, path, method, *flags):
+        out = tmp_path / "m.json"
+        rc = cli.main(["fit", str(path), "--method", method, "-o", str(out), *flags])
+        return rc, (json.loads(out.read_text()) if rc == 0 else None)
+
+    @pytest.mark.parametrize("flags, hyper", [
+        (["--lambda", "1e-2"], {"lam": 1e-2, "mu": 1e-2}),  # mu follows lambda
+        (["--lambda", "1e-2", "--mu", "1e-4"], {"lam": 1e-2, "mu": 1e-4}),
+    ])
+    def test_odir_lambda_and_mu(self, tmp_path, prob_file, flags, hyper):
+        rc, doc = self._fit(tmp_path, prob_file[0], "dirichlet_odir", *flags)
+        assert rc == 0
+        assert doc["hyperparams"] == hyper
+
+    def test_bin_count(self, tmp_path, prob_file):
+        rc, doc = self._fit(tmp_path, prob_file[0], "ovr_width_bin", "--bin-count", "7")
+        assert rc == 0
+        assert doc["hyperparams"] == {"bins": 7}
+        assert all(len(m["edges"]) == 8 for m in doc["params"]["maps"])
+
+    @pytest.mark.parametrize("method, flags, message", [
+        ("ovr_isotonic", ["--lambda", "1e-2"], "method ovr_isotonic takes no lambda"),
+        ("dirichlet_l2", ["--mu", "1e-2"], "method dirichlet_l2 takes no mu"),
+        ("dirichlet_odir", ["--bin-count", "5"], "method dirichlet_odir takes no bin count"),
+    ])
+    def test_flag_the_method_lacks(self, tmp_path, prob_file, capsys, method, flags, message):
+        rc, _ = self._fit(tmp_path, prob_file[0], method, *flags)
+        assert rc == 3
+        assert message in capsys.readouterr().err
+
+    def test_default_grid(self, tmp_path, prob_file):
+        from probcal.harness import LAMBDA_GRID
+
+        rc, doc = self._fit(tmp_path, prob_file[0], "dirichlet_l2", "--grid", "default",
+                            "--folds", "2")
+        assert rc == 0
+        assert doc["members"][0]["hyperparams"]["lam"] in LAMBDA_GRID
+
+    def test_grid_with_mu(self, tmp_path, prob_file):
+        rc, doc = self._fit(tmp_path, prob_file[0], "dirichlet_odir", "--folds", "2",
+                            "--grid", "lambda=1e-3,1e-2;mu=1e-4")
+        assert rc == 0
+        hyper = doc["members"][0]["hyperparams"]
+        assert hyper["lam"] in (1e-3, 1e-2) and hyper["mu"] == 1e-4
+
+    def test_grid_with_decoupled_mu(self, tmp_path, prob_file, monkeypatch):
+        grids = []
+        real = cli.cross_val_fit
+
+        def spy(*args, grid=None, **kwargs):
+            grids.append(grid)
+            return real(*args, grid=grid, **kwargs)
+
+        monkeypatch.setattr(cli, "cross_val_fit", spy)
+        rc, doc = self._fit(tmp_path, prob_file[0], "dirichlet_odir", "--folds", "2",
+                            "--grid", "lambda=1e-3,1e-2", "--decouple-mu")
+        assert rc == 0
+        assert grids == [cli.HyperGrid(lambdas=(1e-3, 1e-2), mus=(1e-3, 1e-2))]
+        hyper = doc["members"][0]["hyperparams"]
+        assert hyper["lam"] in (1e-3, 1e-2) and hyper["mu"] in (1e-3, 1e-2)
+
+    @pytest.mark.parametrize("decouple", [False, True])
+    def test_default_grid_spec(self, decouple):
+        from probcal.harness import LAMBDA_GRID
+
+        grid = cli._parse_grid("default", decouple)
+        assert grid == cli.HyperGrid(mus=LAMBDA_GRID if decouple else ())
+
+    @pytest.mark.parametrize("spec, message", [
+        ("lambda", "bad --grid component 'lambda'"),
+        ("sigma=1", "unknown --grid name 'sigma'"),
+        (" ; ", "empty --grid specification"),
+        ("lambda=a", "could not convert string to float"),
+        ("bins=1.5", "invalid literal for int()"),
+    ])
+    def test_malformed_grid(self, tmp_path, prob_file, capsys, spec, message):
+        rc, _ = self._fit(tmp_path, prob_file[0], "dirichlet_l2", "--grid", spec, "--folds", "2")
+        assert rc == 3
+        assert message in capsys.readouterr().err
+
 
 class TestWriteProbabilities:
     def test_bytes_match_csv_writer(self, tmp_path, rng):
@@ -340,7 +431,7 @@ class TestApplyCommand:
         rc = cli.main(["apply", str(model_path), str(path), "-o", str(path) + ".out"])
         assert rc == 3
 
-    def test_k_mismatch(self, tmp_path, prob_file):
+    def test_k_mismatch(self, tmp_path, prob_file, capsys):
         path, _, _ = prob_file
         model_path = tmp_path / "k4.json"
         from probcal.models import CalibratorModel
@@ -352,6 +443,7 @@ class TestApplyCommand:
         write_csv(z_path, np.zeros((5, 3)), prefix="z")
         rc = cli.main(["apply", str(model_path), str(z_path), "-o", str(z_path) + ".out"])
         assert rc == 3
+        assert "model expects 4 classes, input has 3" in capsys.readouterr().err
 
     def test_corrupt_model_file(self, tmp_path, prob_file):
         path, _, _ = prob_file
@@ -397,6 +489,14 @@ class TestEvalCommand:
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["p_conf_ece"] == 0.017
         assert rec["p_cw_ece"] == 0.017
+
+    @pytest.mark.parametrize("resamples", ["-5", "-1"])
+    def test_negative_resamples_rejected(self, four_row_file, capsys, resamples):
+        rc = cli.main(["eval", str(four_row_file), "--bins", "2", "--resamples", resamples])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert out == ""
+        assert "n_resamples must be at least 1" in err
 
     def test_text_format(self, four_row_file, capsys):
         rc = cli.main(["eval", str(four_row_file), "--bins", "2", "--resamples", "50"])
@@ -499,6 +599,31 @@ class TestTestCommand:
         assert rc == 3
         assert "bin count must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["2", "1", "0", "-0.5"])
+    def test_alpha_outside_unit_interval(self, prob_file, capsys, alpha):
+        path, _, _ = prob_file
+        rc = cli.main(["test", str(path), "--resamples", "20", "--alpha", alpha])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert out == ""
+        assert "alpha must lie in (0, 1)" in err
+
+    @pytest.mark.parametrize("alpha, decision", [("0.017", "reject"), ("0.0169", "accept")])
+    def test_decision_is_p_strictly_above_alpha(self, four_row_file, capsys, monkeypatch,
+                                                alpha, decision):
+        from probcal import stattest
+
+        def fake_resampled(p, stat_fn, n_resamples, seed):
+            return np.concatenate([np.full(170, 2.0), np.full(9830, -1.0)])
+
+        monkeypatch.setattr(stattest, "_resampled_statistics", fake_resampled)
+        rc = cli.main(["test", str(four_row_file), "--bins", "2", "--alpha", alpha,
+                       "--format", "json-lines"])
+        assert rc == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["p_value"] == 0.017
+        assert rec["decision"] == decision
+
 
 class TestCompareCommand:
     def test_deterministic_tables(self, prob_file, capsys):
@@ -516,11 +641,34 @@ class TestCompareCommand:
         rows = list(csv.DictReader(first.strip().splitlines()))
         assert [r["method"] for r in rows] == ["uncalibrated", "dirichlet_l2"]
 
-    def test_unknown_method(self, prob_file):
+    def test_unknown_method(self, prob_file, capsys):
         path, _, _ = prob_file
         rc = cli.main(["compare", str(path), "--methods", "magic", "--repeats", "1",
                        "--folds", "2", "--resamples", "10"])
         assert rc == 3
+        assert "unknown method 'magic'" in capsys.readouterr().err
+
+    def test_grid(self, prob_file, capsys):
+        path, _, _ = prob_file
+        rc = cli.main(["compare", str(path), "--methods", "uncalibrated,ovr_width_bin",
+                       "--grid", "bins=5,10", "--repeats", "1", "--folds", "2",
+                       "--inner-folds", "2", "--resamples", "10", "--format", "json-lines"])
+        assert rc == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["method"] for r in records] == ["uncalibrated", "ovr_width_bin"]
+
+    def test_default_methods_on_probabilities(self, tmp_path, rng, capsys):
+        from probcal.models import METHOD_INPUT
+
+        q = random_simplex(rng, 120, 3)
+        path = tmp_path / "q.csv"
+        write_csv(path, q, labels=sample_labels_from_rows(rng, q))
+        rc = cli.main(["compare", str(path), "--repeats", "1", "--folds", "2",
+                       "--inner-folds", "2", "--resamples", "10", "--format", "csv"])
+        assert rc == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [r["method"] for r in rows] == [
+            m for m, kind in METHOD_INPUT.items() if kind == "probabilities"]
 
 
 class TestInspectCommand:
@@ -581,6 +729,44 @@ class TestInspectCommand:
         assert rc == 2
         assert out == ""
         assert "invalid model file" in err
+
+    @pytest.mark.parametrize("command", ["apply", "inspect"])
+    @pytest.mark.parametrize("member", ["x", 1, None, ["schema"]])
+    def test_non_object_ensemble_member(self, tmp_path, prob_file, capsys, command, member):
+        model_path = tmp_path / "ens.json"
+        model_path.write_text(json.dumps({
+            "schema": "probcal-model-v1", "type": "ensemble", "method": "dirichlet_l2",
+            "k": 3, "members": [member]}))
+        argv = {"apply": ["apply", str(model_path), str(prob_file[0]),
+                          "-o", str(tmp_path / "o.csv")],
+                "inspect": ["inspect", str(model_path)]}[command]
+        rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert "invalid model file: not a calibrator model document" in err
+
+    @pytest.mark.parametrize("k", [2, 40])
+    def test_closed_stdout_ends_quietly(self, tmp_path, k):
+        # With stdout block-buffered, k = 40 writes about 48 KB, so the pipe
+        # breaks inside the command; k = 2 fits in the buffer, so it breaks
+        # at the flush after the command.
+        from probcal.dirichlet import LinearParams
+        from probcal.models import CalibratorModel
+
+        model_path = tmp_path / "m.json"
+        cli.save_model(model_path, CalibratorModel(
+            method="dirichlet_l2", k=k, params=LinearParams(W=2.0 * np.eye(k), b=np.zeros(k))))
+        env = {key: v for key, v in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "probcal", "inspect", str(model_path)],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_non_dirichlet_rejected(self, tmp_path, prob_file, capsys):
         path, _, _ = prob_file

@@ -181,6 +181,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="2 classes"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("doc", [
+        ["x"],
+        {"schema": "probcal-model-v1", "type": "ensemble", "members": ["x"]},
+        {"schema": "probcal-model-v1", "type": "ensemble", "members": [None]},
+    ])
+    def test_rejects_non_object_documents(self, doc):
+        with pytest.raises(ValueError, match="not a calibrator model document"):
+            model_from_dict(doc)
+
     def test_rejects_bad_type(self):
         with pytest.raises(ValueError):
             model_from_dict({"schema": "probcal-model-v1", "type": "stack"})

@@ -1,0 +1,141 @@
+"""Check that two probcal source trees write the same outputs.
+
+Runs the CLI of each tree on the same seeded inputs and compares:
+
+- stdout of ``eval`` (text, json-lines), ``test`` (text, json-lines),
+  ``compare`` (text, json-lines, csv) and ``inspect`` (text, json-lines),
+  byte for byte;
+- one model file per method tag, byte for byte apart from ``created``,
+  and the CSV that ``apply`` writes with it;
+- every p-value, bit for bit (``float.hex``).
+
+Usage, with the other commit checked out elsewhere (by ``git clone``)::
+
+    python3 tools/compare_outputs.py --base /path/to/other/src
+
+``--head`` defaults to this checkout's ``src``. Exits 1 if any output
+differs and prints one line per comparison.
+"""
+
+import argparse
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import datagen  # noqa: E402
+
+METHODS = ("dirichlet_l2", "dirichlet_odir", "temperature", "vector_scaling", "matrix_odir",
+           "ovr_isotonic", "ovr_width_bin", "ovr_freq_bin", "ovr_beta", "uncalibrated")
+LOGIT_METHODS = ("temperature", "vector_scaling", "matrix_odir")
+P_VALUE_KEYS = ("p_value", "p_conf_ece", "p_cw_ece")
+
+
+def run(src, workdir, argv):
+    """Run ``python -m probcal argv`` on the tree ``src``; returns stdout bytes."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "probcal", *argv], cwd=workdir, env=env,
+                          capture_output=True, timeout=600)
+    if proc.returncode != 0:
+        raise SystemExit(f"{src}: probcal {' '.join(argv)} exited {proc.returncode}:\n"
+                         f"{proc.stderr.decode()}")
+    return proc.stdout
+
+
+def inputs(workdir, seed):
+    """Seeded prediction files: probabilities at k = 3 and 10, logits at k = 10."""
+    cases = {
+        "p3.csv": (datagen.dirichlet_rows(seed, 600, 3, 2.0), "p_"),
+        "p10.csv": (datagen.dirichlet_rows(seed, 1000, 10, 2.0), "p_"),
+        "z10.csv": (datagen.gaussian_logits(seed, 1000, 10, 0.6), "z_"),
+    }
+    for name, ((X, y), prefix) in cases.items():
+        datagen.write_csv(workdir / name, X, y, prefix)
+
+
+def jobs(seed):
+    """(name, argv, files written) of every run; stdout is always compared."""
+    out = []
+    for data in ("p3.csv", "p10.csv"):
+        for fmt in ("text", "json-lines"):
+            out.append((f"eval {data} {fmt}", ["eval", data, "--resamples", "300", "--seed",
+                                                str(seed), "--format", fmt], []))
+            for stat in ("conf_ece", "cw_ece"):
+                out.append((f"test {data} {stat} {fmt}",
+                            ["test", data, "--statistic", stat, "--resamples", "300",
+                             "--seed", str(seed), "--format", fmt], []))
+    for data, methods in (("p10.csv", None), ("z10.csv", ",".join(METHODS))):
+        for fmt in ("text", "json-lines", "csv"):
+            argv = ["compare", data, "--repeats", "1", "--folds", "3", "--inner-folds", "2",
+                    "--resamples", "100", "--seed", str(seed), "--format", fmt]
+            out.append((f"compare {data} {fmt}", argv + (["--methods", methods] if methods else []),
+                        []))
+    for method in METHODS:
+        data = "z10.csv" if method in LOGIT_METHODS else "p10.csv"
+        for folds in ("1", "3"):
+            model = f"{method}-{folds}.json"
+            out.append((f"fit {method} folds {folds}",
+                        ["fit", data, "--method", method, "--folds", folds, "--seed", str(seed),
+                         "-o", model], [model]))
+            out.append((f"apply {method} folds {folds}",
+                        ["apply", model, data, "-o", f"{method}-{folds}.out.csv"],
+                        [f"{method}-{folds}.out.csv"]))
+            if method in ("dirichlet_l2", "dirichlet_odir", "temperature"):
+                for fmt in ("text", "json-lines"):
+                    out.append((f"inspect {method} folds {folds} {fmt}",
+                                ["inspect", model, "--format", fmt], []))
+    return out
+
+
+def p_values(stdout):
+    """float.hex of every p-value in json-lines output (empty for other formats)."""
+    found = []
+    for line in stdout.decode().splitlines():
+        if line.startswith("{"):
+            rec = json.loads(line)
+            found += [float(rec[key]).hex() for key in P_VALUE_KEYS if key in rec]
+    return found
+
+
+def without_created(data):
+    return re.sub(rb'"created": "[^"]*"', b'"created": null', data)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, type=Path, help="src directory of one tree")
+    parser.add_argument("--head", type=Path, default=ROOT / "src",
+                        help="src directory of the other tree (default: this checkout)")
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args()
+    runs = jobs(args.seed)
+    differ = 0
+    checked_p = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = {side: Path(tmp) / side for side in ("base", "head")}
+        for side, workdir in dirs.items():
+            workdir.mkdir()
+            inputs(workdir, args.seed)
+        for name, argv, files in runs:
+            outs = {side: run(getattr(args, side), dirs[side], argv) for side in dirs}
+            same = outs["base"] == outs["head"]
+            for f in files:
+                same &= (without_created((dirs["base"] / f).read_bytes())
+                         == without_created((dirs["head"] / f).read_bytes()))
+            pv = {side: p_values(out) for side, out in outs.items()}
+            same &= pv["base"] == pv["head"]
+            checked_p += len(pv["head"])
+            differ += not same
+            print(f"{'same  ' if same else 'DIFFER'} {name}")
+    print(f"{differ} of {len(runs)} outputs differ; {checked_p} p-values compared")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
