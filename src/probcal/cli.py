@@ -33,7 +33,7 @@ from .harness import LAMBDA_GRID, HyperGrid, compare_methods, cross_val_fit
 from .metrics import DEFAULT_BINS, classwise_reliability, confidence_reliability, evaluate
 from .models import METHOD_INPUT, METHOD_SPECS, METHODS, EnsembleModel, method_spec, model_from_dict
 from .optim import OptimizationError
-from .stattest import acceptance_rate, calibration_test
+from .stattest import acceptance_rate, calibration_test, check_alpha
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -145,6 +145,9 @@ def build_label_mapping(raw_labels, k, explicit=None):
         names = list(explicit)
         if len(names) != k:
             raise ValueError(f"--labels must list {k} names, got {len(names)}")
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ValueError(f"--labels repeats {', '.join(map(repr, repeated))}")
         index = {name: i for i, name in enumerate(names)}
         try:
             y = np.array([index[v] for v in raw_labels], dtype=np.int64)
@@ -366,6 +369,7 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_test(args) -> int:
+    check_alpha(args.alpha)
     X, _, y, _ = _read_labelled(args)
     result = calibration_test(X, y, args.statistic, args.bins, args.resamples,
                               args.seed, plus_one=args.plus_one)

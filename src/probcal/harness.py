@@ -14,7 +14,7 @@ import numpy as np
 from .core import DEFAULT_CLIP_FLOOR, LOGITS, PROBABILITIES, softmax
 from .metrics import DEFAULT_BINS, evaluate, log_loss
 from .models import METHOD_INPUT, EnsembleModel, fit_calibrator, method_spec
-from .stattest import _mix64, acceptance_rate, calibration_test
+from .stattest import _mix64, acceptance_rate, calibration_test, check_alpha
 
 #: Penalty-weight grid, 1e-7 .. 1e2 log-spaced.
 LAMBDA_GRID = tuple(10.0 ** e for e in range(-7, 3))
@@ -191,6 +191,7 @@ def compare_methods(X, y, kind: str, methods, repeats: int = 5, outer_folds: int
         raise ValueError(f"unknown prediction kind {kind!r}")
     if repeats < 1:
         raise ValueError("need at least 1 repeat")
+    check_alpha(alpha)
     for method in methods:
         if method_spec(method).input == LOGITS and kind != LOGITS:
             raise ValueError(f"method {method} requires logit inputs")

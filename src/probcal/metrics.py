@@ -57,23 +57,23 @@ class ReliabilityBins:
 
 
 class _Binning:
-    """Equal-width bins of fixed predictions, against which labels are counted.
+    """Equal-width bins of fixed predictions, against which hits are counted.
 
     Column j of ``x`` (n, c) holds one predicted probability per row, binned
     into ``m`` bins. Each bin keeps its row count and mean prediction; what
-    varies is only which rows are hits. With ``target`` None a label l in
-    row i is a hit for column l. Otherwise ``x`` has one column and a label
-    is a hit when it equals ``target`` (per row, or one class for all rows).
+    varies is only which rows are hits. A block of R hit sets, shape (n, R),
+    is either integer labels, where label l in row i is a hit for column l,
+    or, when ``x`` has one column, a boolean mask of the rows that are hits.
 
-    Hits of a whole label block are counted by one ``bincount`` over the key
-    (label column, prediction column, bin); misses go to an overflow key.
+    Hits of a whole block are counted by one ``bincount`` over the key
+    (hit set, prediction column, bin); misses go to an overflow key.
     """
 
-    def __init__(self, x: np.ndarray, m: int, target=None):
+    def __init__(self, x: np.ndarray, m: int):
         if m < 1:
             raise ValueError("bin count must be at least 1")
         n, c = x.shape
-        self.n, self.m, self.target = n, m, target
+        self.n, self.m = n, m
         self.keys = _bin_index(x, m) + m * np.arange(c)
         flat = self.keys.ravel()
         self.counts = np.bincount(flat, minlength=c * m).reshape(c, m)
@@ -81,41 +81,48 @@ class _Binning:
         with np.errstate(invalid="ignore"):
             self.mean = np.where(self.counts > 0, sums / np.maximum(self.counts, 1), np.nan)
 
-    def hits(self, labels: np.ndarray) -> np.ndarray:
-        """Hit counts of shape (R, c, m) for a label block of shape (n, R)."""
+    def hits(self, block: np.ndarray) -> np.ndarray:
+        """Hit counts of shape (R, c, m) for a label block or hit mask (n, R)."""
         size = self.counts.size
-        if self.target is None:
-            keys = np.take_along_axis(self.keys, labels, axis=1)
+        if block.dtype == bool:
+            keys = np.where(block, self.keys, size)
         else:
-            keys = np.where(labels == self.target, self.keys, size)
-        n_rows = labels.shape[1]
-        keys += (size + 1) * np.arange(n_rows)
-        flat = np.bincount(keys.ravel(), minlength=n_rows * (size + 1))
-        return flat.reshape(n_rows, size + 1)[:, :size].reshape(n_rows, *self.counts.shape)
+            keys = np.take_along_axis(self.keys, block, axis=1)
+        n_sets = block.shape[1]
+        keys += (size + 1) * np.arange(n_sets)
+        flat = np.bincount(keys.ravel(), minlength=n_sets * (size + 1))
+        return flat.reshape(n_sets, size + 1)[:, :size].reshape(n_sets, *self.counts.shape)
 
-    def bin_gaps(self, labels: np.ndarray) -> np.ndarray:
-        """|hit frequency - mean prediction| per label column, prediction
-        column and bin, 0 where the bin is empty: shape (R, c, m)."""
-        freq = self.hits(labels) / np.maximum(self.counts, 1)
+    def bin_gaps(self, block: np.ndarray) -> np.ndarray:
+        """|hit frequency - mean prediction| per hit set, prediction column
+        and bin, 0 where the bin is empty: shape (R, c, m)."""
+        freq = self.hits(block) / np.maximum(self.counts, 1)
         return np.where(self.counts > 0, np.abs(freq - self.mean), 0.0)
 
-    def gaps(self, labels: np.ndarray) -> np.ndarray:
+    def gaps(self, block: np.ndarray) -> np.ndarray:
         """Count-weighted sum of ``bin_gaps`` over the bins: shape (R, c)."""
-        return (self.counts / self.n * self.bin_gaps(labels)).sum(axis=-1)
+        return (self.counts / self.n * self.bin_gaps(block)).sum(axis=-1)
 
-    def reliability(self, y: np.ndarray, mode: str, class_index=None) -> ReliabilityBins:
-        """Reliability bins of the single prediction column against labels y."""
+    def reliability(self, hit: np.ndarray, mode: str, class_index=None) -> ReliabilityBins:
+        """Reliability bins of the single prediction column against the
+        boolean hit vector ``hit`` (n,)."""
         counts = self.counts[0]
         with np.errstate(invalid="ignore"):
-            freq = np.where(counts > 0, self.hits(y[:, None])[0, 0] / np.maximum(counts, 1), np.nan)
+            freq = np.where(counts > 0, self.hits(hit[:, None])[0, 0] / np.maximum(counts, 1),
+                            np.nan)
         return ReliabilityBins(edges=_bin_edges(self.m), counts=counts,
                                mean_predicted=self.mean[0], empirical_frequency=freq,
                                mode=mode, class_index=class_index)
 
 
 def _confidence_binning(p, m: int) -> _Binning:
-    """Rows binned by confidence; a label is a hit when it is the argmax."""
-    return _Binning(p.max(axis=1)[:, None], m, target=p.argmax(axis=1)[:, None])
+    """Rows binned by confidence; a row is a hit when its label is its argmax."""
+    return _Binning(p.max(axis=1)[:, None], m)
+
+
+def _correct(p, y) -> np.ndarray:
+    """Rows whose label is the argmax: the hits of the confidence binning."""
+    return p.argmax(axis=1) == y
 
 
 def _checked(p, y):
@@ -144,13 +151,13 @@ def _log_loss(p, y, floor: float) -> float:
 
 
 def _accuracy(p, y) -> float:
-    return float((p.argmax(axis=1) == y).mean())
+    return float(_correct(p, y).mean())
 
 
 def confidence_reliability(p, y, m: int = DEFAULT_BINS) -> ReliabilityBins:
     """Bin rows by confidence (max probability); record accuracy per bin."""
     p, y = _checked(p, y)
-    return _confidence_binning(p, m).reliability(y, "confidence")
+    return _confidence_binning(p, m).reliability(_correct(p, y), "confidence")
 
 
 def classwise_reliability(p, y, j: int, m: int = DEFAULT_BINS) -> ReliabilityBins:
@@ -158,13 +165,13 @@ def classwise_reliability(p, y, j: int, m: int = DEFAULT_BINS) -> ReliabilityBin
     p, y = _checked(p, y)
     if not 0 <= j < p.shape[1]:
         raise ValueError(f"class index {j} out of range")
-    return _Binning(p[:, j:j + 1], m, target=j).reliability(y, "classwise", j)
+    return _Binning(p[:, j:j + 1], m).reliability(y == j, "classwise", j)
 
 
 def confidence_ece(p, y, m: int = DEFAULT_BINS) -> float:
     """Count-weighted mean |accuracy - confidence| over nonempty bins."""
     p, y = _checked(p, y)
-    return float(_confidence_binning(p, m).gaps(y[:, None])[0, 0])
+    return float(_confidence_binning(p, m).gaps(_correct(p, y)[:, None])[0, 0])
 
 
 def classwise_ece(p, y, m: int = DEFAULT_BINS):
@@ -181,7 +188,7 @@ def classwise_ece(p, y, m: int = DEFAULT_BINS):
 def mce(p, y, m: int = DEFAULT_BINS) -> float:
     """Maximum |accuracy - confidence| over nonempty confidence bins."""
     p, y = _checked(p, y)
-    return float(_confidence_binning(p, m).bin_gaps(y[:, None]).max())
+    return float(_confidence_binning(p, m).bin_gaps(_correct(p, y)[:, None]).max())
 
 
 def brier(p, y) -> float:
@@ -264,7 +271,8 @@ class EvalReport:
 def evaluate(p, y, m: int = DEFAULT_BINS, floor: float = DEFAULT_CLIP_FLOOR) -> EvalReport:
     """Compute the full measure bundle (significance p-values not included)."""
     p, y = _checked(p, y)
-    acc = _accuracy(p, y)
+    correct = _correct(p, y)
+    acc = float(correct.mean())
     cw, per_class = _classwise_ece(p, y, m)
     conf = _confidence_binning(p, m)
     return EvalReport(
@@ -272,10 +280,10 @@ def evaluate(p, y, m: int = DEFAULT_BINS, floor: float = DEFAULT_CLIP_FLOOR) -> 
         error_rate=1.0 - acc,
         log_loss=_log_loss(p, y, floor),
         brier=_brier(p, y),
-        conf_ece=float(conf.gaps(y[:, None])[0, 0]),
+        conf_ece=float(conf.gaps(correct[:, None])[0, 0]),
         cw_ece=cw,
         per_class_ece=per_class,
-        mce=float(conf.bin_gaps(y[:, None]).max()),
+        mce=float(conf.bin_gaps(correct[:, None]).max()),
         bins=m,
         n=p.shape[0],
         k=p.shape[1],

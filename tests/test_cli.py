@@ -197,6 +197,22 @@ class TestLabelMapping:
 
 
 class TestFitCommand:
+    def test_repeated_label_name_rejected(self, tmp_path, rng, capsys):
+        # Every label in the file is in the list, so only the repeated name
+        # is wrong: it would map to its last position, class 1.
+        names = list("abcdefghij")
+        q = random_simplex(rng, 200, 10)
+        y = sample_labels_from_rows(rng, q)
+        path = tmp_path / "k10.csv"
+        write_csv(path, q, labels=[names[max(v, 2)] for v in y])
+        model = tmp_path / "m.json"
+        rc = cli.main(["fit", str(path), "--method", "uncalibrated", "-o", str(model),
+                       "--labels", ",".join(["a", "a"] + names[2:])])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert "--labels repeats 'a'" in err
+        assert not model.exists()
+
     def test_temperature_three_rows(self, tmp_path):
         z = np.array([[2.0, 0.0], [0.0, 2.0], [2.0, 0.0]])
         path = tmp_path / "z.csv"
@@ -608,6 +624,19 @@ class TestTestCommand:
         assert out == ""
         assert "alpha must lie in (0, 1)" in err
 
+    @pytest.mark.parametrize("alpha", ["2", "0"])
+    def test_bad_alpha_reaches_no_resample(self, prob_file, capsys, monkeypatch, alpha):
+        def no_test(*args, **kwargs):
+            raise AssertionError("calibration_test called despite a bad alpha")
+
+        monkeypatch.setattr(cli, "calibration_test", no_test)
+        path, _, _ = prob_file
+        rc = cli.main(["test", str(path), "--resamples", "20000", "--alpha", alpha])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert out == ""
+        assert "alpha must lie in (0, 1)" in err
+
     @pytest.mark.parametrize("alpha, decision", [("0.017", "reject"), ("0.0169", "accept")])
     def test_decision_is_p_strictly_above_alpha(self, four_row_file, capsys, monkeypatch,
                                                 alpha, decision):
@@ -640,6 +669,23 @@ class TestCompareCommand:
         assert first == second
         rows = list(csv.DictReader(first.strip().splitlines()))
         assert [r["method"] for r in rows] == ["uncalibrated", "dirichlet_l2"]
+
+    @pytest.mark.parametrize("alpha", ["1.5", "0"])
+    def test_bad_alpha_reaches_no_fit_or_resample(self, prob_file, capsys, monkeypatch, alpha):
+        from probcal import harness
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("fold work done despite a bad alpha")
+
+        monkeypatch.setattr(harness, "calibration_test", no_call)
+        monkeypatch.setattr(harness, "cross_val_fit", no_call)
+        path, _, _ = prob_file
+        rc = cli.main(["compare", str(path), "--methods", "uncalibrated", "--repeats", "1",
+                       "--folds", "2", "--resamples", "10", "--alpha", alpha])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert out == ""
+        assert "alpha must lie in (0, 1)" in err
 
     def test_unknown_method(self, prob_file, capsys):
         path, _, _ = prob_file

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from probcal import stattest
 from probcal.metrics import classwise_ece, confidence_ece
 from probcal.stattest import (
     TestResult,
+    _argmax_hits,
     _pseudo_labels,
     acceptance_rate,
     calibration_test,
@@ -66,6 +70,12 @@ def battery_data(seed, n, k):
     v = counter_uniforms(seed, 0, np.arange(n))
     y = np.minimum((v[:, None] > np.cumsum(sharp, axis=1)).sum(axis=1), k - 1)
     return p, y
+
+
+def pseudo_labels(cum, seed, resample_indices):
+    """Pseudo-labels of the resamples ``resample_indices``, shape (n, R)."""
+    u = counter_uniforms(seed, resample_indices[None, :], np.arange(cum.shape[0])[:, None])
+    return _pseudo_labels(cum)(u)
 
 
 def reference_labels(cum, seed, resample_indices):
@@ -133,7 +143,7 @@ class TestCounterUniforms:
 
 class TestPseudoLabels:
     def test_known_first_labels(self):
-        labels = _pseudo_labels(np.cumsum(SMALL_P, axis=1), 3, np.arange(4))
+        labels = pseudo_labels(np.cumsum(SMALL_P, axis=1), 3, np.arange(4))
         assert labels.T.tolist() == SMALL_LABELS
 
     @pytest.mark.parametrize("k", [2, 3, 7, 64, 100])
@@ -145,7 +155,7 @@ class TestPseudoLabels:
         p /= p.sum(axis=1, keepdims=True)
         cum = np.cumsum(p, axis=1)
         idx = np.arange(17, 57)
-        assert np.array_equal(_pseudo_labels(cum, 11, idx).T, reference_labels(cum, 11, idx))
+        assert np.array_equal(pseudo_labels(cum, 11, idx).T, reference_labels(cum, 11, idx))
 
     @pytest.mark.parametrize("k", [2, 3, 7, 64, 100])
     def test_last_cum_below_one(self, k):
@@ -156,7 +166,7 @@ class TestPseudoLabels:
         p = rng.dirichlet(np.ones(k), size=200)
         cum = np.cumsum(p, axis=1) * rng.uniform(0.5, 1.0, size=(200, 1))
         idx = np.arange(30)
-        labels = _pseudo_labels(cum, 5, idx)
+        labels = pseudo_labels(cum, 5, idx)
         assert np.array_equal(labels.T, reference_labels(cum, 5, idx))
         assert np.any(labels == k - 1)
 
@@ -172,7 +182,7 @@ class TestPseudoLabels:
         p[:, -1] = 1.0 - u
         cum = np.cumsum(p, axis=1)
         assert np.all(cum[np.arange(n), t] == u)
-        labels = _pseudo_labels(cum, 2, np.arange(3))
+        labels = pseudo_labels(cum, 2, np.arange(3))
         assert np.array_equal(labels.T, reference_labels(cum, 2, np.arange(3)))
         assert np.array_equal(labels[:, 0], t)
 
@@ -182,7 +192,7 @@ class TestPseudoLabels:
         p = random_simplex(rng, 40, 5)
         cum = np.cumsum(p, axis=1)
         idx = np.arange(200, 200 + n_resamples)
-        labels = _pseudo_labels(cum, 8, idx)
+        labels = pseudo_labels(cum, 8, idx)
         assert labels.shape == (40, n_resamples)
         assert np.array_equal(labels.T, reference_labels(cum, 8, idx))
 
@@ -197,6 +207,92 @@ class TestPseudoLabels:
         np.testing.assert_allclose(result.resampled_statistics,
                                    reference_statistic(p, labels, statistic, 6),
                                    rtol=0, atol=1e-15)
+
+
+class TestConfidenceHits:
+    @staticmethod
+    def tied_rows(k, n=60, seed=2):
+        """Rows whose resample-0 uniform u sits exactly on a cumulative sum
+        next to the argmax a. Where u < 1/2 the row is (0.., u, 1 - u, 0..)
+        with a = t + 1, so u equals cum[a - 1]: the draw is below a, a miss.
+        Elsewhere it is (0.., u, 0.., 1 - u) with a = t, so u equals cum[a]:
+        the draw is a, a hit. Returns the rows and whether each is a hit."""
+        u = counter_uniforms(seed, 0, np.arange(n))
+        rows = np.arange(n)
+        low = u < 0.5
+        p = np.zeros((n, k))
+        a = np.where(low, 1 + rows % (k - 1), rows % (k - 1))
+        p[rows, a - low] = u
+        p[rows, np.where(low, a, k - 1)] += 1.0 - u
+        cum = np.cumsum(p, axis=1)
+        assert np.array_equal(p.argmax(axis=1), a)
+        assert np.all(cum[rows, a - low] == u)
+        assert low.any() and (~low).any()
+        return p, ~low
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 64, 100])
+    def test_uniform_equal_to_cum_next_to_argmax(self, k):
+        p, hit = self.tied_rows(k)
+        n = p.shape[0]
+        u = counter_uniforms(2, np.arange(4)[None, :], np.arange(n)[:, None])
+        mask = _argmax_hits(p)(u)
+        labels = reference_labels(np.cumsum(p, axis=1), 2, np.arange(4)).T
+        assert np.array_equal(mask, labels == p.argmax(axis=1)[:, None])
+        assert np.array_equal(mask[:, 0], hit)
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 64, 100])
+    def test_statistics_with_ties_match_dense(self, k):
+        p, _ = self.tied_rows(k)
+        y = np.arange(p.shape[0]) % k
+        result = calibration_test(p, y, "conf_ece", 4, 5, seed=2)
+        labels = reference_labels(np.cumsum(p, axis=1), 2, np.arange(5))
+        np.testing.assert_allclose(result.resampled_statistics,
+                                   reference_statistic(p, labels, "conf_ece", 4),
+                                   rtol=0, atol=1e-15)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("statistic", ["conf_ece", "cw_ece"])
+    def test_statistics_around_block_below_256(self, offset, statistic):
+        n, k = 2000, 10
+        per_block = stattest._BLOCK_ELEMENTS // n
+        assert 1 < per_block < 256
+        rng = np.random.default_rng(per_block)
+        p = random_simplex(rng, n, k)
+        y = rng.integers(0, k, size=n)
+        n_resamples = per_block + offset
+        result = calibration_test(p, y, statistic, 15, n_resamples, seed=3)
+        labels = reference_labels(np.cumsum(p, axis=1), 3, np.arange(n_resamples))
+        np.testing.assert_allclose(result.resampled_statistics,
+                                   reference_statistic(p, labels, statistic, 15),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("statistic", ["conf_ece", "cw_ece"])
+    def test_bit_identical_across_block_sizes(self, monkeypatch, statistic):
+        rng = np.random.default_rng(21)
+        p = random_simplex(rng, 300, 7)
+        y = rng.integers(0, 7, size=300)
+        runs = []
+        for budget in (1, 300 * 3, 300 * 17, 1 << 18):
+            monkeypatch.setattr(stattest, "_BLOCK_ELEMENTS", budget)
+            runs.append(calibration_test(p, y, statistic, 10, 40, seed=6).resampled_statistics)
+        for other in runs[1:]:
+            assert other.tobytes() == runs[0].tobytes()
+
+    @pytest.mark.parametrize("statistic", ["conf_ece", "cw_ece"])
+    def test_memory_does_not_grow_with_resample_block(self, statistic):
+        # n x 256 float64 temporaries alone would be 39 MB at this size.
+        rng = np.random.default_rng(5)
+        p = random_simplex(rng, 20000, 10)
+        y = rng.integers(0, 10, size=20000)
+        tracemalloc.start()
+        try:
+            calibration_test(p, y, statistic, 15, 300, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestBattery:
@@ -274,7 +370,7 @@ class TestCalibrationTest:
                                   ("cw_ece", lambda a, b: classwise_ece(a, b, 8)[0])):
             result = calibration_test(p, y, statistic, 8, 6, seed=4)
             cum = np.cumsum(p, axis=1)
-            pseudo = _pseudo_labels(cum, 4, np.arange(6))
+            pseudo = pseudo_labels(cum, 4, np.arange(6))
             expected = [metric(p, pseudo[:, r]) for r in range(6)]
             np.testing.assert_allclose(result.resampled_statistics, expected, atol=1e-12)
 

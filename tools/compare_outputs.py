@@ -49,10 +49,13 @@ def run(src, workdir, argv):
 
 
 def inputs(workdir, seed):
-    """Seeded prediction files: probabilities at k = 3 and 10, logits at k = 10."""
+    """Seeded prediction files: probabilities at k = 3, 10 and 100, logits at
+    k = 10. At n = 2000 the k = 100 file takes resample blocks below 256 and
+    the 7-step pseudo-label bisection."""
     cases = {
         "p3.csv": (datagen.dirichlet_rows(seed, 600, 3, 2.0), "p_"),
         "p10.csv": (datagen.dirichlet_rows(seed, 1000, 10, 2.0), "p_"),
+        "p100.csv": (datagen.dirichlet_rows(seed, 2000, 100, 2.0), "p_"),
         "z10.csv": (datagen.gaussian_logits(seed, 1000, 10, 0.6), "z_"),
     }
     for name, ((X, y), prefix) in cases.items():
@@ -62,7 +65,7 @@ def inputs(workdir, seed):
 def jobs(seed):
     """(name, argv, files written) of every run; stdout is always compared."""
     out = []
-    for data in ("p3.csv", "p10.csv"):
+    for data in ("p3.csv", "p10.csv", "p100.csv"):
         for fmt in ("text", "json-lines"):
             out.append((f"eval {data} {fmt}", ["eval", data, "--resamples", "300", "--seed",
                                                 str(seed), "--format", fmt], []))
