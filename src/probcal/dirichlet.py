@@ -295,6 +295,17 @@ def _hessian(theta, X, pen, free):
     return H
 
 
+def _flush_to(P, dtype):
+    """P cast to ``dtype``, with the entries below the square root of its
+    smallest normal number set to 0, so that a product of two kept factors
+    is never subnormal."""
+    if P.dtype == dtype:
+        return P
+    low = P.astype(dtype)
+    low[low < np.sqrt(np.finfo(dtype).tiny)] = 0.0
+    return low
+
+
 class _HessianOperator:
     """The Hessian of ``_value_grad`` at theta, applied as products.
 
@@ -315,15 +326,42 @@ class _HessianOperator:
     the product count can grow; the blocks are rebuilt once the last solve
     took more than ``REBUILD_RATIO`` times the products of the first solve
     after they were built.
+
+    Precision: P = softmax(X M') is computed in float64 from the float64
+    features ``X``. The products and the block builds run in the dtype of
+    ``features``: ``X`` itself by default (the float64 reference operator),
+    or the float32 copy that ``fit_multinomial`` casts once per fit.
+    In float32:
+
+    - P is cast once per operator, and entries below the square root of
+      float32's smallest normal number (1.1e-19) are flushed to 0.
+      Saturated softmax rows hold many tiny entries, and their products
+      went subnormal. With a flush at the smallest normal number, the
+      products of a k = 50 fit took 5.3 s against 1.3 s in float64; with
+      v scaled as below, still 1.1-1.2 s against 0.8-0.9 s at 1.1e-19.
+    - X V', P*U, the row sums, R' X and S'S are float32. Each product runs
+      on v / max|v| and takes each row's entry at its most probable class
+      off U (see ``matvec``), which keeps rounding relative to the row's
+      curvature.
+    - The scale of v, the division by n, the penalty term, the ridge and
+      the block inverse are float64, and ``matvec`` returns float64.
+
+    A float32 product is within about 1e-7 of the exact one, relative to
+    its largest entry; the CG solve it serves only has to reach the
+    forcing term of ``optim._cg_direction``, and the gradient and the
+    stopping rule stay float64.
     """
 
     #: Growth of the CG product count, against the first solve after a
     #: build, past which the next operator builds fresh blocks.
     REBUILD_RATIO = 2
 
-    def __init__(self, theta, X, pen, free, previous=None):
-        self.X, self.free = X, free
-        self.probs = softmax(X @ _unpack(theta, free).T, axis=1)
+    def __init__(self, theta, X, pen, free, previous=None, features=None):
+        self.X = X if features is None else features
+        self.free = free
+        probs = softmax(X @ _unpack(theta, free).T, axis=1)
+        self.top = probs.argmax(axis=1)[:, None]
+        self.probs = _flush_to(probs, self.X.dtype)
         self.pen = 2.0 * pen[free]
         self.products = 0
         if previous is None or previous.products > self.REBUILD_RATIO * previous.baseline:
@@ -341,27 +379,45 @@ class _HessianOperator:
     def _build(self):
         n, k = self.probs.shape
         # G_a' diag(w) G_a is formed as S' S with S = diag(sqrt(w)) G_a, a
-        # symmetric BLAS product.
-        root_weights = np.sqrt(self.probs * (1.0 - self.probs) / n)
+        # symmetric BLAS product; the 1/n of w is applied to S' S.
+        root_weights = np.sqrt(self.probs * (1.0 - self.probs))
         width = self.pen.size // k
         self.blocks = np.empty((k, width, width))
         for a in range(k):
             G_a = self.X if self.free[a].all() else self.X[:, self.free[a]]
             S = G_a * root_weights[:, a, None]
             self.blocks[a] = S.T @ S
+        self.blocks /= n
         self.blocks[:, np.arange(width), np.arange(width)] += self.pen.reshape(k, width)
-        # A ridge of 1e-10 times the block's mean diagonal keeps the inverse
-        # bounded where a class's features are collinear (centred logits,
-        # say) and its block is singular or nearly so.
+        # A ridge times the block's mean diagonal keeps the inverse bounded
+        # where a class's features are collinear (centred logits, say) and
+        # its block is singular or nearly so. It is 1e-10 for float64 blocks.
+        # Float32 blocks and products carry rounding of about 1e-7 into that
+        # null space, which a ridge of 100 rounding units (1.2e-5) keeps from
+        # being amplified into the step: with 1e-10 the weights of an
+        # unpenalised matrix fit on centred logits grew to 49, against 1.3.
         scale = np.trace(self.blocks, axis1=1, axis2=2) / width
-        ridge = 1e-10 * np.where(scale > 0.0, scale, 1.0)
+        relative = max(1e-10, 100.0 * float(np.finfo(self.X.dtype).eps))
+        ridge = relative * np.where(scale > 0.0, scale, 1.0)
         self._inverse = np.linalg.inv(self.blocks + ridge[:, None, None] * np.eye(width))
 
     def matvec(self, v):
         self.products += 1
-        PU = self.probs * (self.X @ _unpack(v, self.free).T)
-        R = (PU - self.probs * PU.sum(axis=1, keepdims=True)) / self.X.shape[0]
-        return (R.T @ self.X)[self.free] + self.pen * v
+        # H is linear: the product runs on v / max|v|, so that U keeps the
+        # scale of X however short v is, and the scale returns in float64.
+        scale = float(np.max(np.abs(v), initial=0.0)) or 1.0
+        U = self.X @ (_unpack(v, self.free).T / scale).astype(self.X.dtype)
+        # R is unchanged by a constant added to a row of U, since the rows of
+        # P sum to 1. Taking each row's entry at its most probable class off
+        # turns R's difference of two near-equal terms in a saturated row
+        # into a small sum of its own size; in float32 it cut the CG
+        # products of a k = 30 grid from 872 to 582.
+        U -= np.take_along_axis(U, self.top, axis=1)
+        PU = self.probs * U
+        # Row sums as a product with a column of ones: a BLAS call, several
+        # times faster than numpy's reduction along short rows.
+        R = PU - self.probs * (PU @ np.ones((PU.shape[1], 1), dtype=PU.dtype))
+        return (R.T @ self.X)[self.free].astype(float) * (scale / self.X.shape[0]) + self.pen * v
 
     def precondition(self, r):
         k, width = self._inverse.shape[:2]
@@ -417,6 +473,13 @@ def fit_multinomial(feats, labels, reg, diagonal: bool = False,
     when the CG solves grow long (see ``_HessianOperator``). Diagonal W
     always uses the dense Hessian: an operator product costs O(n k^2) for
     either structure, as much as the whole dense Hessian of 2k parameters.
+
+    The operator's products and block builds run in float32, on a float32
+    copy of [x, 1] cast once per fit; the objective, the gradient, the
+    stopping rule, the line search and the CG recurrences stay float64, so
+    float32 changes only how closely each Newton step is solved. Dense
+    Newton steps are float64 throughout, so fits at or below
+    ``DENSE_NEWTON_MAX_DIM`` parameters, and diagonal ones, are unchanged.
     """
     X, onehot = _prepare(feats, labels)
     n, k = onehot.shape
@@ -429,13 +492,14 @@ def fit_multinomial(feats, labels, reg, diagonal: bool = False,
     M0 = np.eye(k, k + 1) if _start is None else np.column_stack([_start.W, _start.b])
     theta0 = M0[free]
     dense = diagonal or theta0.size <= DENSE_NEWTON_MAX_DIM
+    features = None if dense else X.astype(np.float32)
     operator = None
 
     def hess(t):
         nonlocal operator
         if dense:
             return _hessian(t, X, pen, free)
-        operator = _HessianOperator(t, X, pen, free, operator)
+        operator = _HessianOperator(t, X, pen, free, operator, features)
         return operator
 
     result = minimize(

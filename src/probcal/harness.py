@@ -107,21 +107,21 @@ def cross_val_fit(method: str, X, y, folds: int, seed: int = 0,
                                clip_floor=clip_floor, seed=seed)
         return model, hyper, [(hyper, None)]
 
+    # Only the fold masks live through the grid; each fit slices its rows.
     assignment = stratified_folds(y, folds, seed)
-    splits = [(X[assignment != f], y[assignment != f], X[assignment == f], y[assignment == f])
-              for f in range(folds)]
+    train_masks = [assignment != f for f in range(folds)]
     previous = [None] * folds
     table = []
     best = None
     for hyper in candidates:
         members = []
         losses = []
-        for f, (X_train, y_train, X_val, y_val) in enumerate(splits):
-            member = fit_calibrator(method, X_train, y_train, hyper,
+        for f, train in enumerate(train_masks):
+            member = fit_calibrator(method, X[train], y[train], hyper,
                                     label_names=label_names, clip_floor=clip_floor,
                                     seed=seed, _start=previous[f])
             members.append(member)
-            losses.append(log_loss(member.apply(X_val), y_val, clip_floor))
+            losses.append(log_loss(member.apply(X[~train]), y[~train], clip_floor))
         previous = members
         mean_loss = float(np.mean(losses))
         table.append((dict(hyper), mean_loss))

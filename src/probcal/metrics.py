@@ -9,6 +9,7 @@ index everywhere.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -65,8 +66,10 @@ class _Binning:
     is either integer labels, where label l in row i is a hit for column l,
     or, when ``x`` has one column, a boolean mask of the rows that are hits.
 
-    Hits of a whole block are counted by one ``bincount`` over the key
-    (hit set, prediction column, bin); misses go to an overflow key.
+    Hits of a label block are counted by one ``bincount`` over the key
+    (hit set, prediction column, bin); misses go to an overflow key. A hit
+    mask is summed over each bin's rows: its rows, ordered by bin, are
+    added up run by run in integers.
     """
 
     def __init__(self, x: np.ndarray, m: int):
@@ -81,14 +84,25 @@ class _Binning:
         with np.errstate(invalid="ignore"):
             self.mean = np.where(self.counts > 0, sums / np.maximum(self.counts, 1), np.nan)
 
+    @cached_property
+    def _bin_runs(self):
+        """Rows in bin order, the first position of each nonempty bin's run
+        in that order, and the mask of nonempty bins, for a single
+        prediction column."""
+        filled = self.counts[0] > 0
+        starts = np.cumsum(self.counts[0]) - self.counts[0]
+        return np.argsort(self.keys[:, 0], kind="stable"), starts[filled], filled
+
     def hits(self, block: np.ndarray) -> np.ndarray:
         """Hit counts of shape (R, c, m) for a label block or hit mask (n, R)."""
         size = self.counts.size
-        if block.dtype == bool:
-            keys = np.where(block, self.keys, size)
-        else:
-            keys = np.take_along_axis(self.keys, block, axis=1)
         n_sets = block.shape[1]
+        if block.dtype == bool:
+            order, starts, filled = self._bin_runs
+            out = np.zeros((n_sets, size), dtype=np.intp)
+            out[:, filled] = np.add.reduceat(block[order], starts, axis=0, dtype=np.intp).T
+            return out.reshape(n_sets, *self.counts.shape)
+        keys = np.take_along_axis(self.keys, block, axis=1)
         keys += (size + 1) * np.arange(n_sets)
         flat = np.bincount(keys.ravel(), minlength=n_sets * (size + 1))
         return flat.reshape(n_sets, size + 1)[:, :size].reshape(n_sets, *self.counts.shape)

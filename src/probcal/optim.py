@@ -6,6 +6,12 @@ takes Newton steps when given the Hessian, either as a dense matrix (solved
 by LU, or by least squares for the minimum-norm step when it is exactly
 singular) or as an operator (solved by truncated preconditioned conjugate
 gradients, Nocedal & Wright ch. 7), and gradient steps otherwise.
+Everything here is float64: the value, the gradient and its infinity-norm
+stopping rule, the line search, and the CG recurrences and forcing term.
+An operator may compute its products in lower precision (the multinomial
+fits use float32 ones above ``DENSE_NEWTON_MAX_DIM``); that changes only
+how closely CG solves a Newton step, which is an approximate solve anyway
+(inexact Newton, Dembo, Eisenstat & Steihaug 1982).
 Both routines are free of randomness, so repeated runs on identical inputs
 produce bit-identical results.
 """

@@ -263,14 +263,16 @@ class TestFit:
         assert np.max(np.abs(fd - H)) / max(1.0, np.max(np.abs(H))) < 1e-5
 
     @staticmethod
-    def _dense_and_operator(rng, reg, diagonal, k=4, n=50):
+    def _dense_and_operator(rng, reg, diagonal, k=4, n=50, dtype=np.float64):
         from probcal.dirichlet import _free_mask, _hessian, _HessianOperator, _penalty_matrix
 
         X = np.column_stack([rng.normal(size=(n, k)), np.ones(n)])
         free = _free_mask(k, diagonal)
         theta = rng.normal(scale=0.5, size=np.count_nonzero(free))
         args = (theta, X, _penalty_matrix(reg, k), free)
-        return _hessian(*args), _HessianOperator(*args)
+        op = _HessianOperator(*args) if dtype == np.float64 else \
+            _HessianOperator(*args, None, X.astype(dtype))
+        return _hessian(*args), op
 
     @pytest.mark.parametrize("reg", [L2Config(0.1), OdirConfig(0.3, 0.2)], ids=["l2", "odir"])
     @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
@@ -298,6 +300,51 @@ class TestFit:
             # precondition() solves with the block plus a 1e-10 relative ridge.
             np.testing.assert_allclose(z[index[a]], np.linalg.solve(block, r[index[a]]),
                                        rtol=1e-6)
+
+    # The float32 operator of Newton-CG fits, against the float64 dense
+    # Hessian. Its products and blocks are within about 1e-7 of it.
+    @pytest.mark.parametrize("reg", [L2Config(0.1), OdirConfig(0.3, 0.2)], ids=["l2", "odir"])
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+    def test_float32_operator_matches_dense(self, rng, reg, diagonal):
+        H, op = self._dense_and_operator(rng, reg, diagonal, dtype=np.float32)
+        assert op.X.dtype == op.probs.dtype == np.float32
+        for _ in range(5):
+            v = rng.normal(size=H.shape[0])
+            want = H @ v
+            got = op.matvec(v)
+            assert got.dtype == np.float64
+            assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+        k = op.blocks.shape[0]
+        index = np.arange(H.shape[0]).reshape(k, -1)
+        for a in range(k):
+            block = H[np.ix_(index[a], index[a])]
+            assert np.max(np.abs(op.blocks[a] - block)) <= 1e-5 * np.max(np.abs(block))
+
+    def test_float32_operator_flushes_subnormal_probabilities(self, rng):
+        # Log-features of rows with entries down to 1e-60, under weights three
+        # times the identity: softmax then gives probabilities far below
+        # float32's smallest normal number, which a plain cast makes subnormal.
+        from probcal.dirichlet import (_free_mask, _hessian, _HessianOperator, _penalty_matrix,
+                                       _prepare, _unpack)
+
+        k, n = 6, 80
+        q = random_simplex(rng, n, k) ** 8
+        q[np.arange(n), rng.integers(0, k, size=n)] += 1.0
+        X, _ = _prepare(np.log(clip_probabilities(q / q.sum(axis=1, keepdims=True), 1e-60)),
+                        np.zeros(n, dtype=int))
+        free = _free_mask(k, False)
+        theta = (np.eye(k, k + 1) * 3.0 + rng.normal(scale=0.1, size=(k, k + 1)))[free]
+        args = (theta, X, _penalty_matrix(OdirConfig(1e-3, 1e-3), k), free)
+        tiny = np.finfo(np.float32).tiny
+        cast = softmax(X @ _unpack(theta, free).T, axis=1).astype(np.float32)
+        assert np.count_nonzero((cast > 0.0) & (cast < tiny)) > 0
+        H, op = _hessian(*args), _HessianOperator(*args, None, X.astype(np.float32))
+        assert op.probs.dtype == np.float32
+        assert not np.any((op.probs > 0.0) & (op.probs < tiny))
+        for _ in range(5):
+            v = rng.normal(size=H.shape[0])
+            want = H @ v
+            assert np.max(np.abs(op.matvec(v) - want)) <= 1e-5 * np.max(np.abs(want))
 
     def test_fit_past_dense_newton_limit_converges(self, rng):
         # k = 50 has 2550 parameters, where gradient steps once stalled near
@@ -335,9 +382,9 @@ class TestFit:
                 builds.append(1)
                 super()._build()
 
-        class RebuildingOperator(dirichlet._HessianOperator):
-            def __init__(self, theta, feats, pen_w, pen_b, free, previous=None):
-                super().__init__(theta, feats, pen_w, pen_b, free)
+        class RebuildingOperator(CountingOperator):
+            def __init__(self, theta, X, pen, free, previous=None, features=None):
+                super().__init__(theta, X, pen, free, None, features)
 
         monkeypatch.setattr(dirichlet, "_HessianOperator", CountingOperator)
         with warnings.catch_warnings():
@@ -347,8 +394,11 @@ class TestFit:
         _, grad = objective_and_gradient(fitted, q, y, reg)
         assert np.max(np.abs(grad)) <= 1e-8
 
+        steps.clear()
+        builds.clear()
         monkeypatch.setattr(dirichlet, "_HessianOperator", RebuildingOperator)
         rebuilt = fit(q, y, reg, tol=1e-8)
+        assert len(builds) == len(steps) > 0
         assert np.max(np.abs(apply_linear(q, fitted) - apply_linear(q, rebuilt))) <= 1e-6
 
     def test_fit_at_k16_takes_newton_cg_and_converges(self, rng, monkeypatch):
@@ -362,8 +412,8 @@ class TestFit:
 
         class CountingOperator(dirichlet._HessianOperator):
             def __init__(self, *args):
-                built.append(1)
                 super().__init__(*args)
+                built.append((self.X.dtype, self.probs.dtype))
 
         monkeypatch.setattr(dirichlet, "_HessianOperator", CountingOperator)
         q = random_simplex(rng, 1500, k, concentration=0.5)
@@ -372,7 +422,8 @@ class TestFit:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             fitted = fit(q, y, reg, tol=1e-8)
-        assert built
+        # Its products run in float32; the gradient check below is float64.
+        assert built and all(x == p == np.float32 for x, p in built)
         _, grad = objective_and_gradient(fitted, q, y, reg)
         assert np.max(np.abs(grad)) <= 1e-8
 

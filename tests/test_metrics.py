@@ -146,6 +146,23 @@ class TestMce:
             assert 0.0 <= confidence_ece(p, y, 10) <= 1.0
 
 
+class TestHitCounts:
+    @pytest.mark.parametrize("n_sets", [1, 7])
+    def test_mask_counts_match_bincount(self, rng, n_sets):
+        # Predictions in [0.5, 0.8) leave bins 0-6 and 12-14 of 15 empty.
+        from probcal.metrics import _Binning
+
+        x = rng.uniform(0.5, 0.8, size=(300, 1))
+        binning = _Binning(x, 15)
+        mask = rng.random((300, n_sets)) < 0.4
+        counts = binning.hits(mask)
+        assert counts.shape == (n_sets, 1, 15)
+        for r in range(n_sets):
+            want = np.bincount(binning.keys[mask[:, r], 0], minlength=15)
+            np.testing.assert_array_equal(counts[r, 0], want)
+        assert counts[:, 0, :7].sum() == counts[:, 0, 12:].sum() == 0
+
+
 class TestProperLosses:
     def test_perfect_predictions(self):
         p = np.clip(np.eye(2)[np.array([0, 1])], 1e-300, None)
