@@ -360,7 +360,8 @@ class _HessianOperator:
         self.X = X if features is None else features
         self.free = free
         probs = softmax(X @ _unpack(theta, free).T, axis=1)
-        self.top = probs.argmax(axis=1)[:, None]
+        # Flat index of each row's most probable class, for ``matvec``.
+        self.top = np.arange(0, probs.size, probs.shape[1]) + probs.argmax(axis=1)
         self.probs = _flush_to(probs, self.X.dtype)
         self.pen = 2.0 * pen[free]
         self.products = 0
@@ -412,7 +413,7 @@ class _HessianOperator:
         # turns R's difference of two near-equal terms in a saturated row
         # into a small sum of its own size; in float32 it cut the CG
         # products of a k = 30 grid from 872 to 582.
-        U -= np.take_along_axis(U, self.top, axis=1)
+        U -= U.ravel()[self.top][:, None]
         PU = self.probs * U
         # Row sums as a product with a column of ones: a BLAS call, several
         # times faster than numpy's reduction along short rows.
