@@ -61,17 +61,21 @@ def _newton_direction(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(hessian, -grad, rcond=None)[0]
 
 
-def _cg_direction(op, grad: np.ndarray) -> np.ndarray:
+def _cg_direction(op, grad: np.ndarray, tol: float) -> np.ndarray:
     """Approximately solve H d = -g by preconditioned conjugate gradients.
 
     ``op.matvec(v)`` gives H v and ``op.precondition(r)`` an approximation
-    of H^-1 r. The solve stops once the residual falls below eta * ||g||
-    (2-norms) with the forcing term eta = min(0.5, sqrt(||g||)), which
-    gives superlinear convergence of the outer iteration, or on
-    non-positive curvature, returning the iterate so far (-g if none).
+    of H^-1 r. The solve stops once the residual r = -g - H d falls below
+    max(eta * ||g||, 0.5 * tol) (2-norms) with the forcing term
+    eta = min(0.5, sqrt(||g||)), which gives superlinear convergence of the
+    outer iteration, or on non-positive curvature, returning the iterate so
+    far (-g if none). ``tol`` is the outer stopping rule's bound on the
+    gradient infinity-norm: g + H d is the gradient of the local quadratic
+    model at the step, and ||r||_inf <= ||r||_2 <= 0.5 * tol already puts
+    it within ``tol``, so solving further near the optimum is wasted.
     """
     gnorm = float(np.linalg.norm(grad))
-    target = min(0.5, np.sqrt(gnorm)) * gnorm
+    target = max(min(0.5, np.sqrt(gnorm)) * gnorm, 0.5 * tol)
     d = np.zeros_like(grad)
     r = -grad
     z = op.precondition(r)
@@ -147,8 +151,8 @@ def minimize(
             break
         if hess is not None:
             h = hess(x)
-            solve = _newton_direction if isinstance(h, np.ndarray) else _cg_direction
-            direction = solve(h, grad)
+            direction = (_newton_direction(h, grad) if isinstance(h, np.ndarray)
+                         else _cg_direction(h, grad, tol))
         if hess is None or float(direction @ grad) >= 0.0:
             direction = -grad
 

@@ -60,18 +60,24 @@ def fit_temperature(z, labels, t_min: float = T_MIN, t_max: float = T_MAX,
     The search runs over log t on [t_min, t_max]; a fit landing on a bound
     triggers a warning, since the data wanted unbounded sharpening (every
     prediction correct) or flattening (predictions uninformative).
+
+    The logits are transposed once per fit to a (k, n) array, and each loss
+    evaluation reduces over its axis 0: at k <= 11, numpy's max and sum
+    along the short rows of an (n, k) array are an order of magnitude
+    slower (see ``dirichlet._prepare``).
     """
     z = as_logit_matrix(z)
     y = as_label_vector(labels, z.shape[1], z.shape[0])
     if np.unique(y).size < 2:
         raise ValueError("labels contain a single class; nothing to fit")
-    rows = np.arange(z.shape[0])
+    zt = np.ascontiguousarray(z.T)
+    picked = (y, np.arange(z.shape[0]))
 
     def loss_at_log_t(log_t):
-        scaled = z / np.exp(log_t)
-        shifted = scaled - scaled.max(axis=1, keepdims=True)
-        log_norm = np.log(np.exp(shifted).sum(axis=1))
-        return -(shifted[rows, y] - log_norm).mean()
+        scaled = zt / np.exp(log_t)
+        shifted = scaled - scaled.max(axis=0)
+        log_norm = np.log(np.exp(shifted).sum(axis=0))
+        return -(shifted[picked] - log_norm).mean()
 
     lo, hi = np.log(t_min), np.log(t_max)
     best = minimize_scalar(loss_at_log_t, lo, hi, tol=tol)

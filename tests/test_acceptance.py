@@ -224,11 +224,11 @@ def test_07_gradient_correctness():
         from probcal.dirichlet import _penalty_matrix, _prepare, _value_grad
 
         z = rng.normal(size=(n, k)) * 2.0
-        X, onehot = _prepare(z, y)
+        XT, labels = _prepare(z, y)
         pen = _penalty_matrix(reg_dir, k)
         full = np.ones((k, k + 1), dtype=bool)
-        _, grad_z = _value_grad(theta, X, onehot, pen, full)
-        fd_z = central_difference(lambda t: _value_grad(t, X, onehot, pen, full)[0], theta)
+        _, grad_z = _value_grad(theta, XT, labels, pen, full)
+        fd_z = central_difference(lambda t: _value_grad(t, XT, labels, pen, full)[0], theta)
         rel_z = np.max(np.abs(fd_z - grad_z)) / max(1.0, np.max(np.abs(grad_z)))
         worst = max(worst, rel_z)
     assert worst < 1e-5

@@ -245,19 +245,73 @@ class TestFit:
             fd = central_difference(value_only, theta0)
             assert np.max(np.abs(fd - grad)) / max(1.0, np.max(np.abs(grad))) < 1e-5
 
+    # The fitting core is class-major (features (k+1, n), scores (k, n)).
+    # Row-major references: features [x, 1] as (n, k+1) rows, scores
+    # (n, k), reductions along rows, the labels as a one-hot matrix.
+    @staticmethod
+    def _row_major_value_grad(theta, X, y, pen, free):
+        n, k = X.shape[0], free.shape[0]
+        M = np.zeros(free.shape)
+        M[free] = theta
+        scores = X @ M.T
+        shifted = scores - scores.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        onehot = np.eye(k)[y]
+        value = -(logp * onehot).sum(axis=1).mean() + (pen * M * M).sum()
+        return value, (((np.exp(logp) - onehot) / n).T @ X + 2.0 * pen * M)[free]
+
+    @staticmethod
+    def _row_major_hessian(theta, X, pen, free):
+        n, k = X.shape[0], free.shape[0]
+        M = np.zeros(free.shape)
+        M[free] = theta
+        P = softmax(X @ M.T, axis=1)
+        G = X[:, np.nonzero(free)[1].reshape(k, -1)]
+        width = G.shape[2]
+        V = (P[:, :, None] * G).reshape(n, k * width)
+        H = -(V.T @ V)
+        for a in range(k):
+            s = a * width
+            H[s : s + width, s : s + width] += G[:, a].T @ (G[:, a] * P[:, a : a + 1])
+        H /= n
+        H[np.diag_indices_from(H)] += 2.0 * pen[free]
+        return H
+
+    @pytest.mark.parametrize("k", [2, 10, 16])
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+    def test_class_major_core_matches_row_major_reference(self, rng, k, diagonal):
+        from probcal.dirichlet import _free_mask, _hessian, _penalty_matrix, _prepare, _value_grad
+
+        n = 300
+        feats, y = rng.normal(size=(n, k)), rng.integers(0, k, size=n)
+        XT, labels = _prepare(feats, y)
+        assert XT.shape == (k + 1, n) and XT.flags.c_contiguous
+        np.testing.assert_array_equal(labels, y)
+        X = np.column_stack([feats, np.ones(n)])
+        pen = _penalty_matrix(OdirConfig(0.3, 0.2), k)
+        free = _free_mask(k, diagonal)
+        theta = rng.normal(scale=0.5, size=np.count_nonzero(free))
+
+        value, grad = _value_grad(theta, XT, labels, pen, free)
+        ref_value, ref_grad = self._row_major_value_grad(theta, X, y, pen, free)
+        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+        H, ref_H = _hessian(theta, XT, pen, free), self._row_major_hessian(theta, X, pen, free)
+        assert np.max(np.abs(H - ref_H)) <= 1e-12 * np.max(np.abs(ref_H))
+
     @pytest.mark.parametrize("reg", [L2Config(0.1), OdirConfig(0.3, 0.2)], ids=["l2", "odir"])
     @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
     def test_hessian_matches_finite_differences(self, rng, reg, diagonal):
         from probcal.dirichlet import _free_mask, _hessian, _penalty_matrix, _prepare, _value_grad
 
         k = 3
-        X, onehot = _prepare(rng.normal(size=(40, k)), rng.integers(0, k, size=40))
+        XT, y = _prepare(rng.normal(size=(40, k)), rng.integers(0, k, size=40))
         pen = _penalty_matrix(reg, k)
         free = _free_mask(k, diagonal)
         theta = rng.normal(scale=0.5, size=np.count_nonzero(free))
-        H = _hessian(theta, X, pen, free)
+        H = _hessian(theta, XT, pen, free)
         fd = np.column_stack([
-            central_difference(lambda t, i=i: _value_grad(t, X, onehot, pen, free)[1][i], theta)
+            central_difference(lambda t, i=i: _value_grad(t, XT, y, pen, free)[1][i], theta)
             for i in range(theta.size)
         ])
         assert np.max(np.abs(fd - H)) / max(1.0, np.max(np.abs(H))) < 1e-5
@@ -266,12 +320,12 @@ class TestFit:
     def _dense_and_operator(rng, reg, diagonal, k=4, n=50, dtype=np.float64):
         from probcal.dirichlet import _free_mask, _hessian, _HessianOperator, _penalty_matrix
 
-        X = np.column_stack([rng.normal(size=(n, k)), np.ones(n)])
+        XT = np.vstack([rng.normal(size=(k, n)), np.ones(n)])
         free = _free_mask(k, diagonal)
         theta = rng.normal(scale=0.5, size=np.count_nonzero(free))
-        args = (theta, X, _penalty_matrix(reg, k), free)
+        args = (theta, XT, _penalty_matrix(reg, k), free)
         op = _HessianOperator(*args) if dtype == np.float64 else \
-            _HessianOperator(*args, None, X.astype(dtype))
+            _HessianOperator(*args, None, XT.astype(dtype))
         return _hessian(*args), op
 
     @pytest.mark.parametrize("reg", [L2Config(0.1), OdirConfig(0.3, 0.2)], ids=["l2", "odir"])
@@ -307,7 +361,7 @@ class TestFit:
     @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
     def test_float32_operator_matches_dense(self, rng, reg, diagonal):
         H, op = self._dense_and_operator(rng, reg, diagonal, dtype=np.float32)
-        assert op.X.dtype == op.probs.dtype == np.float32
+        assert op.XT.dtype == op.probs.dtype == np.float32
         for _ in range(5):
             v = rng.normal(size=H.shape[0])
             want = H @ v
@@ -330,15 +384,15 @@ class TestFit:
         k, n = 6, 80
         q = random_simplex(rng, n, k) ** 8
         q[np.arange(n), rng.integers(0, k, size=n)] += 1.0
-        X, _ = _prepare(np.log(clip_probabilities(q / q.sum(axis=1, keepdims=True), 1e-60)),
-                        np.zeros(n, dtype=int))
+        XT, _ = _prepare(np.log(clip_probabilities(q / q.sum(axis=1, keepdims=True), 1e-60)),
+                         np.zeros(n, dtype=int))
         free = _free_mask(k, False)
         theta = (np.eye(k, k + 1) * 3.0 + rng.normal(scale=0.1, size=(k, k + 1)))[free]
-        args = (theta, X, _penalty_matrix(OdirConfig(1e-3, 1e-3), k), free)
+        args = (theta, XT, _penalty_matrix(OdirConfig(1e-3, 1e-3), k), free)
         tiny = np.finfo(np.float32).tiny
-        cast = softmax(X @ _unpack(theta, free).T, axis=1).astype(np.float32)
+        cast = softmax(_unpack(theta, free) @ XT, axis=0).astype(np.float32)
         assert np.count_nonzero((cast > 0.0) & (cast < tiny)) > 0
-        H, op = _hessian(*args), _HessianOperator(*args, None, X.astype(np.float32))
+        H, op = _hessian(*args), _HessianOperator(*args, None, XT.astype(np.float32))
         assert op.probs.dtype == np.float32
         assert not np.any((op.probs > 0.0) & (op.probs < tiny))
         for _ in range(5):
@@ -383,8 +437,8 @@ class TestFit:
                 super()._build()
 
         class RebuildingOperator(CountingOperator):
-            def __init__(self, theta, X, pen, free, previous=None, features=None):
-                super().__init__(theta, X, pen, free, None, features)
+            def __init__(self, theta, XT, pen, free, previous=None, features=None):
+                super().__init__(theta, XT, pen, free, None, features)
 
         monkeypatch.setattr(dirichlet, "_HessianOperator", CountingOperator)
         with warnings.catch_warnings():
@@ -413,7 +467,7 @@ class TestFit:
         class CountingOperator(dirichlet._HessianOperator):
             def __init__(self, *args):
                 super().__init__(*args)
-                built.append((self.X.dtype, self.probs.dtype))
+                built.append((self.XT.dtype, self.probs.dtype))
 
         monkeypatch.setattr(dirichlet, "_HessianOperator", CountingOperator)
         q = random_simplex(rng, 1500, k, concentration=0.5)

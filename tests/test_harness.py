@@ -115,10 +115,10 @@ class TestWarmStartedGrid:
         W, b = member.params.W, member.params.b
         if member.input_kind != LOGITS:
             X = log_transform(clip_probabilities(X, member.clip_floor))
-        feats, onehot = _prepare(X, y)
+        XT, labels = _prepare(X, y)
         M = np.column_stack([W, b])
         pen = _penalty_matrix(OdirConfig(**member.hyperparams), W.shape[0])
-        _, grad = _value_grad(M.ravel(), feats, onehot, pen, np.ones(M.shape, dtype=bool))
+        _, grad = _value_grad(M.ravel(), XT, labels, pen, np.ones(M.shape, dtype=bool))
         return np.max(np.abs(grad))
 
     # k = 5 takes dense Newton steps, k = 20 (420 parameters) Newton-CG.

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from probcal.optim import DENSE_NEWTON_MAX_DIM, OptimizationError, minimize, minimize_scalar
+from probcal.optim import (DENSE_NEWTON_MAX_DIM, OptimizationError, _cg_direction, minimize,
+                           minimize_scalar)
 
 
 def quadratic_1d(x):
@@ -133,6 +134,46 @@ class TestMinimize:
         res = minimize(separable, [0.0, 0.0], hess=lambda x: Wrong(), max_iter=2000)
         assert res.converged
         np.testing.assert_allclose(res.params, [1.0, -2.0], atol=1e-6)
+
+    def test_cg_solve_stops_once_residual_within_half_tol(self):
+        # ||g||_2 = 1e-2, so the forcing term alone asks CG for a residual of
+        # eta ||g|| = 1e-3; with tol = 1e-2 the solve stops at 0.5 tol = 5e-3,
+        # which already puts the model gradient g + H d within tol.
+        d = 60
+        H = np.diag(np.logspace(0.0, 3.0, d))
+        grad = np.full(d, 1e-2 / np.sqrt(d))
+        tol = 1e-2
+
+        class Counting:
+            products = 0
+
+            def matvec(self, v):
+                self.products += 1
+                return H @ v
+
+            def precondition(self, r):
+                return r
+
+        # Plain CG on the same system: the residual 2-norm after each product.
+        residuals = []
+        r = -grad
+        p = r
+        for _ in range(d):
+            hp = H @ p
+            alpha = float(r @ r) / float(p @ hp)
+            r_new = r - alpha * hp
+            residuals.append(float(np.linalg.norm(r_new)))
+            p = r_new + (float(r_new @ r_new) / float(r @ r)) * p
+            r = r_new
+        expected = next(j for j, norm in enumerate(residuals) if norm <= 0.5 * tol) + 1
+
+        capped = Counting()
+        step = _cg_direction(capped, grad, tol)
+        assert capped.products == expected
+        assert np.linalg.norm(grad + H @ step) <= 0.5 * tol
+        uncapped = Counting()
+        _cg_direction(uncapped, grad, 1e-300)
+        assert uncapped.products > capped.products
 
     def test_objective_non_increasing(self):
         values = []

@@ -16,6 +16,7 @@ from probcal.scaling import (
     zero_offdiagonal,
 )
 from probcal.dirichlet import apply_linear, OdirConfig
+from probcal.optim import minimize_scalar
 
 from oracles import central_difference, sample_labels_from_rows
 
@@ -76,6 +77,24 @@ class TestFitTemperature:
                 warnings.simplefilter("ignore", RuntimeWarning)
                 fitted = fit_temperature(z, y)
             assert 1e-2 <= fitted.t <= 1e2
+
+    def test_search_loss_is_log_loss_at_fitted_temperature(self, rng, monkeypatch):
+        # The loss fit_temperature minimises (class-major, over log t) is the
+        # mean log-loss of apply_temperature.
+        from probcal import scaling
+
+        losses = []
+
+        def recording(f, lo, hi, **kwargs):
+            losses.append(f)
+            return minimize_scalar(f, lo, hi, **kwargs)
+
+        monkeypatch.setattr(scaling, "minimize_scalar", recording)
+        z = rng.normal(scale=3.0, size=(500, 7))
+        y = sample_labels_from_rows(rng, softmax(z / 2.0, axis=1))
+        t = fit_temperature(z, y).t
+        assert len(losses) == 1
+        assert abs(losses[0](np.log(t)) - log_loss(apply_temperature(z, t), y)) <= 1e-12
 
     def test_rejects_single_class(self):
         with pytest.raises(ValueError):
@@ -156,13 +175,13 @@ class TestFitAffineLogit:
     def test_vector_gradient_matches_finite_differences(self, rng):
         from probcal.dirichlet import _free_mask, _prepare, _value_grad
 
-        X, onehot = _prepare(rng.normal(size=(40, 3)), rng.integers(0, 3, size=40))
+        XT, y = _prepare(rng.normal(size=(40, 3)), rng.integers(0, 3, size=40))
         pen = np.zeros((3, 4))
         pen[:, 3] = 0.2 / 3
         diagonal = _free_mask(3, diagonal=True)
         theta = rng.normal(size=6)
-        _, grad = _value_grad(theta, X, onehot, pen, diagonal)
-        fd = central_difference(lambda t: _value_grad(t, X, onehot, pen, diagonal)[0], theta)
+        _, grad = _value_grad(theta, XT, y, pen, diagonal)
+        fd = central_difference(lambda t: _value_grad(t, XT, y, pen, diagonal)[0], theta)
         assert np.max(np.abs(fd - grad)) / max(1.0, np.max(np.abs(grad))) < 1e-5
 
     def test_matrix_on_centred_logits_past_dense_newton_limit(self, rng):

@@ -14,7 +14,10 @@ Usage, with the other commit checked out elsewhere (by ``git clone``)::
     python3 tools/compare_outputs.py --base /path/to/other/src
 
 ``--head`` defaults to this checkout's ``src``. Exits 1 if any output
-differs and prints one line per comparison.
+differs and prints one line per comparison. A line for an output that
+differs also gives the largest absolute difference between corresponding
+numbers of the two trees' stdout and files, or "structure differs" where
+their text apart from the numbers is not the same.
 """
 
 import argparse
@@ -35,6 +38,7 @@ METHODS = ("dirichlet_l2", "dirichlet_odir", "temperature", "vector_scaling", "m
            "ovr_isotonic", "ovr_width_bin", "ovr_freq_bin", "ovr_beta", "uncalibrated")
 LOGIT_METHODS = ("temperature", "vector_scaling", "matrix_odir")
 P_VALUE_KEYS = ("p_value", "p_conf_ece", "p_cw_ece")
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
 
 def run(src, workdir, argv):
@@ -110,6 +114,19 @@ def without_created(data):
     return re.sub(rb'"created": "[^"]*"', b'"created": null', data)
 
 
+def largest_difference(base, head):
+    """The largest absolute difference between corresponding numbers of two
+    outputs, or None where their text apart from the numbers differs."""
+    if NUMBER.split(base) != NUMBER.split(head):
+        return None
+    worst = 0.0
+    for a, b in zip(NUMBER.findall(base), NUMBER.findall(head)):
+        if a != b:
+            diff = abs(float(a) - float(b))
+            worst = max(worst, diff if diff == diff else float("inf"))
+    return worst
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, type=Path, help="src directory of one tree")
@@ -127,15 +144,20 @@ def main():
             inputs(workdir, args.seed)
         for name, argv, files in runs:
             outs = {side: run(getattr(args, side), dirs[side], argv) for side in dirs}
-            same = outs["base"] == outs["head"]
-            for f in files:
-                same &= (without_created((dirs["base"] / f).read_bytes())
-                         == without_created((dirs["head"] / f).read_bytes()))
+            pairs = [(outs["base"], outs["head"])]
+            pairs += [tuple(without_created((dirs[side] / f).read_bytes()) for side in dirs)
+                      for f in files]
             pv = {side: p_values(out) for side, out in outs.items()}
-            same &= pv["base"] == pv["head"]
+            same = all(a == b for a, b in pairs) and pv["base"] == pv["head"]
             checked_p += len(pv["head"])
             differ += not same
-            print(f"{'same  ' if same else 'DIFFER'} {name}")
+            if same:
+                print(f"same   {name}")
+                continue
+            diffs = [largest_difference(a, b) for a, b in pairs]
+            gap = ("structure differs" if None in diffs
+                   else f"largest absolute difference {max(diffs):.3g}")
+            print(f"DIFFER {name}: {gap}")
     print(f"{differ} of {len(runs)} outputs differ; {checked_p} p-values compared")
     return 1 if differ else 0
 
