@@ -418,8 +418,8 @@ class _HessianOperator:
         U -= U.ravel()[self.top]
         PU = self.probs * U
         R = PU - self.probs * PU.sum(axis=0)
-        return (R @ self.XT.T)[self.free].astype(float) * (scale / self.XT.shape[1]) \
-            + self.pen * v
+        product = (R @ self.XT.T)[self.free].astype(float)
+        return product * (scale / self.XT.shape[1]) + self.pen * v
 
     def precondition(self, r):
         k, width = self._inverse.shape[:2]
@@ -434,8 +434,8 @@ def _prepare(feats, labels):
     the fitting core forms scores as M XT, shape (k, n), and reduces over
     axis 0: numpy's max, sum and argmax along the short rows of an (n, k)
     array are 10-25 times slower than the same reductions over (k, n) at
-    k <= 11 (one BLAS thread: max over (1600, 10) along rows 96 us, over
-    (10, 1600) along axis 0 6 us; at k = 2, 86 against 3 us).
+    k <= 11 (on one core of a 2-vCPU Xeon: max over (1600, 10) along rows
+    96 us, over (10, 1600) along axis 0 6 us; at k = 2, 86 against 3 us).
     """
     feats = np.atleast_2d(feats)
     n, k = feats.shape
