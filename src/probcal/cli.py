@@ -20,6 +20,7 @@ warns on stderr, and a run whose stdout reader goes away, as in ``| head``),
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -49,8 +50,12 @@ class ParseError(Exception):
 # Prediction files
 # ---------------------------------------------------------------------------
 
-#: Rows of the first buffer that ``read_predictions`` parses into.
+#: Rows of the first buffer that the exact reader parses into.
 _INITIAL_ROWS = 1024
+#: Characters after which numpy's float parser may not agree with the exact
+#: reader: a quote starts a CSV quoted field, NUL is a CSV error, and numpy
+#: strips the separators 0x1c-0x1f around a number where ``float`` rejects it.
+_UNSAFE_CHARS = '"\0\x1c\x1d\x1e\x1f'
 
 
 def read_predictions(path):
@@ -58,15 +63,91 @@ def read_predictions(path):
 
     Returns ``(X, kind, raw_labels)`` where ``X`` is an (n, k) float64 array
     and ``raw_labels`` is a list of strings or None when the file has no
-    label column. Rows are parsed as they are read, each field by Python's
-    ``float``, into one buffer that doubles when full; no per-row lists are
-    kept. Blank lines are skipped; an error names the row's line number.
+    label column. Each field converts as Python's ``float`` would; blank
+    lines are skipped; an error names the row's line number.
+
+    Most files are read in one streamed pass by numpy's C parser; a file
+    that pass cannot show to read exactly as the field-by-field reader
+    (quotes, a value ``float`` reads differently, any error) is read again
+    by that reader, which also gives every error text.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            return _parse_predictions(path, csv.reader(fh))
+        parsed = _read_fast(path)
+        return parsed if parsed is not None else _read_exact(path)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _layout(path, header):
+    """(kind, k, has_label) of a stripped header row; ParseError if invalid."""
+    kind = None
+    for prefix, name in (("p_", PROBABILITIES), ("z_", LOGITS)):
+        if header and header[0] == f"{prefix}0":
+            kind = name
+            break
+    if kind is None:
+        raise ParseError(f"{path}: header must start with p_0.. or z_0.. columns")
+    prefix = "p_" if kind == PROBABILITIES else "z_"
+    k = 0
+    while k < len(header) and header[k] == f"{prefix}{k}":
+        k += 1
+    if k < 2:
+        raise ParseError(f"{path}: need at least columns {prefix}0 and {prefix}1")
+    rest = header[k:]
+    if rest and rest != ["label"]:
+        raise ParseError(f"{path}: unexpected columns {rest!r}; expected only an optional 'label'")
+    return kind, k, bool(rest)
+
+
+def _read_fast(path):
+    """``read_predictions`` by ``np.loadtxt``, or None where it cannot show
+    the result equal to ``_read_exact``'s.
+
+    One pass streams the lines to numpy: it skips blank lines, stops at a
+    line with the wrong field count or an unsafe character, and takes the
+    labels. Without quotes a field is the text between commas, and numpy
+    converts a number as ``float`` does apart from underscores and
+    non-ASCII digits, which it rejects, and the separators in
+    ``_UNSAFE_CHARS``, which the pass rejects.
+    """
+    limit = csv.field_size_limit()
+    unsafe = []
+
+    def data_lines(fh, commas, labels):
+        for line in fh:
+            if "," not in line and not line.strip():
+                continue
+            if (line.count(",") != commas or len(line) > limit
+                    or any(c in line for c in _UNSAFE_CHARS)):
+                unsafe.append(line)
+                return
+            if labels is not None:
+                labels.append(line[line.rindex(",") + 1:].strip())
+            yield line
+
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = fh.readline()
+            if any(c in header for c in _UNSAFE_CHARS):
+                return None
+            kind, k, has_label = _layout(path, [h.strip() for h in header.split(",")])
+            labels = [] if has_label else None
+            lines = data_lines(fh, k - 1 + has_label, labels)
+            first = next(lines, None)
+            if first is None:
+                return None
+            X = np.loadtxt(itertools.chain([first], lines), delimiter=",", usecols=range(k),
+                           comments=None, ndmin=2)
+    except Exception:  # whatever failed, the exact reader reads again and reports it
+        return None
+    return None if unsafe else (X, kind, labels)
+
+
+def _read_exact(path):
+    """``read_predictions`` field by field: each by Python's ``float``,
+    into one buffer that doubles when full; no per-row lists are kept."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return _parse_predictions(path, csv.reader(fh))
 
 
 def _parse_predictions(path, rows):
@@ -80,25 +161,12 @@ def _parse_predictions(path, rows):
     header = next(rows, None)
     if header is None:
         raise ParseError(f"{path}: empty file")
-    header = [h.strip() for h in header]
-    kind = None
-    for prefix, name in (("p_", PROBABILITIES), ("z_", LOGITS)):
-        if header and header[0] == f"{prefix}0":
-            kind = name
-            break
-    if kind is None:
-        fail(f"{path}: header must start with p_0.. or z_0.. columns")
-    prefix = "p_" if kind == PROBABILITIES else "z_"
-    k = 0
-    while k < len(header) and header[k] == f"{prefix}{k}":
-        k += 1
-    if k < 2:
-        fail(f"{path}: need at least columns {prefix}0 and {prefix}1")
-    rest = header[k:]
-    if rest and rest != ["label"]:
-        fail(f"{path}: unexpected columns {rest!r}; expected only an optional 'label'")
-    labels = [] if rest else None
-    expected = len(header)
+    try:
+        kind, k, has_label = _layout(path, [h.strip() for h in header])
+    except ParseError as exc:
+        fail(str(exc))
+    labels = [] if has_label else None
+    expected = k + has_label
     # Nothing views X, so it grows and finally shrinks in place.
     X = np.empty((_INITIAL_ROWS, k))
     n = 0

@@ -69,7 +69,8 @@ class _Binning:
     Hits of a label block are counted by one ``bincount`` over the key
     (hit set, prediction column, bin); misses go to an overflow key. A hit
     mask is summed over each bin's rows: its rows, ordered by bin, are
-    added up run by run in integers.
+    added up run by run in integers. The (prediction column, bin) keys
+    are held as int32 where they fit, half the memory of int64.
     """
 
     def __init__(self, x: np.ndarray, m: int):
@@ -77,12 +78,19 @@ class _Binning:
             raise ValueError("bin count must be at least 1")
         n, c = x.shape
         self.n, self.m = n, m
-        self.keys = _bin_index(x, m) + m * np.arange(c)
-        flat = self.keys.ravel()
+        keys = _bin_index(x, m)
+        keys += m * np.arange(c)
+        flat = keys.ravel()
         self.counts = np.bincount(flat, minlength=c * m).reshape(c, m)
         sums = np.bincount(flat, weights=x.ravel(), minlength=c * m).reshape(c, m)
+        self.keys = keys.astype(np.int32 if c * m <= np.iinfo(np.int32).max else np.intp)
         with np.errstate(invalid="ignore"):
             self.mean = np.where(self.counts > 0, sums / np.maximum(self.counts, 1), np.nan)
+
+    @cached_property
+    def _row_start(self):
+        """Position of each row's first key in the flattened keys, (n, 1)."""
+        return (np.arange(self.n) * self.keys.shape[1])[:, None]
 
     @cached_property
     def _bin_runs(self):
@@ -102,8 +110,7 @@ class _Binning:
             out = np.zeros((n_sets, size), dtype=np.intp)
             out[:, filled] = np.add.reduceat(block[order], starts, axis=0, dtype=np.intp).T
             return out.reshape(n_sets, *self.counts.shape)
-        keys = np.take_along_axis(self.keys, block, axis=1)
-        keys += (size + 1) * np.arange(n_sets)
+        keys = self.keys.ravel()[block + self._row_start] + (size + 1) * np.arange(n_sets)
         flat = np.bincount(keys.ravel(), minlength=n_sets * (size + 1))
         return flat.reshape(n_sets, size + 1)[:, :size].reshape(n_sets, *self.counts.shape)
 

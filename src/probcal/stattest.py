@@ -17,8 +17,10 @@ Resamples are drawn in blocks of about ``_BLOCK_ELEMENTS`` (row,
 resample) pairs, at most 256 and at least one resample, so a block's
 temporaries stay a few MB whatever n is; only per-row data, built once
 per test, grows with n. The classwise statistic draws each
-pseudo-label by bisection over a table of the rows' cumulative
-probabilities, built once per test. The confidence statistic needs only
+pseudo-label from a guide table of the rows' cumulative probabilities,
+built once per test, which settles most draws with one lookup and the
+rest by a bisection over the few entries that share the uniform's
+bucket. The confidence statistic needs only
 whether each pseudo-label is the row's argmax, which two comparisons of
 the uniform against the row's cumulative probabilities decide, so it
 draws no labels.
@@ -118,29 +120,71 @@ def _pseudo_labels(cum: np.ndarray):
 
     The label of row i for uniform u is the number of entries of
     ``cum[i, :k-1]`` below u, i.e. the count of ``cum[i]`` below it
-    clipped to k - 1. Rows of ``cum`` are non-decreasing, so a branchless
-    lower-bound bisection finds it in ceil(log2 k) gathers from the row
-    padded with +inf to a power-of-two width. The padded table is built
-    here, once; each row's resamples sit together, so the gathers stay
-    local.
+    clipped to k - 1. Rows of ``cum`` are non-negative and non-decreasing.
+
+    The draw reads a guide table (the cutpoint method of Chen & Asau,
+    1974), built here once: for a power of two W, ``guide[i, g]`` counts
+    the entries of ``cum[i, :k-1]`` below g / W, for g = 0..W. u * W and
+    cum * W are exact, so for g = floor(u * W) the label lies in
+    [guide[i, g], guide[i, g + 1]]. Where the two bounds are equal, that
+    is the label; the other draws count the entries of ``cum[i]`` below u
+    between the bounds by a bisection over that range alone. Each row's
+    resamples sit together, so the gathers stay local. The table holds
+    counts in the narrowest unsigned type that holds k - 1, which is also
+    the type of the labels.
+
+    W is the power of two at or above 4k, and at least 64. With about
+    four buckets per entry, the bounds agree for about 85% of the draws
+    at k = 100, for a table of n x 513 bytes. Below k = 16 the floor of
+    64 leaves about 4% of the draws to the bisection, against 16% with
+    16 buckets, whose draw took 1.6 times as long at k = 4, n = 2000.
     """
     n, k = cum.shape
-    width = 1 << (k - 1).bit_length()
-    table = np.full((n, width), np.inf)
-    table[:, :k - 1] = cum[:, :k - 1]
-    flat = table.ravel()
-    row_start = (np.arange(n) * width)[:, None]
+    width = 1 << max(6, (4 * k - 1).bit_length())
+    guide = np.empty((n, width + 1), dtype=np.min_scalar_type(k - 1))
+    # Row i's entry j counts towards guide[i, g] for every g above
+    # cum * W: from bucket floor(cum * W) + 1 on. The table is built
+    # from a bincount of those buckets, about _BLOCK_ELEMENTS table
+    # entries at a time.
+    per_chunk = max(1, _BLOCK_ELEMENTS // (width + 2))
+    for start in range(0, n, per_chunk):
+        chunk = cum[start:start + per_chunk, :k - 1]
+        rows = chunk.shape[0]
+        first = np.empty(chunk.shape, dtype=np.intp)
+        np.multiply(chunk, width, out=first, casting="unsafe")
+        np.minimum(first, width, out=first)
+        first += 1 + (width + 2) * np.arange(rows)[:, None]
+        counts = np.bincount(first.ravel(), minlength=rows * (width + 2))
+        np.cumsum(counts.reshape(rows, width + 2)[:, :width + 1], axis=1,
+                  dtype=guide.dtype, out=guide[start:start + rows])
+    flat_guide = guide.ravel()
+    # upper[j] is guide[i, g + 1] where flat_guide[j] is guide[i, g].
+    upper = flat_guide[1:]
+    flat_cum = cum.ravel()
+    row_start = (np.arange(n) * (width + 1))[:, None]
 
     def draw(u: np.ndarray) -> np.ndarray:
-        step = width // 2
-        # probe = row_start + (count found so far) + step - 1; where the
-        # probed entry is below u the count grows by step, then step halves.
-        probe = np.repeat(row_start + (step - 1), u.shape[1], axis=1)
+        # The product is cast to integers (floor, as u >= 0) on its way
+        # out, with no float temporary.
+        bucket = np.empty(u.shape, dtype=np.intp)
+        np.multiply(u, width, out=bucket, casting="unsafe")
+        bucket += row_start
+        labels = flat_guide[bucket]
+        # Draws whose bucket holds entries of cum: the label is lo plus
+        # the count of cum[i, lo:hi] below u, found as pos in [lo, hi]
+        # with every entry before pos below u, by halving steps.
+        open_ = np.flatnonzero(labels != upper[bucket])
+        base = open_ // u.shape[1] * k
+        pos = base + labels.ravel()[open_]
+        end = base + upper[bucket.ravel()[open_]]
+        u_open = u.ravel()[open_]
+        step = 1 << (int((end - pos).max(initial=1)).bit_length() - 1)
         while step:
-            probe += (flat[probe] < u) * step - step // 2
+            probe = np.minimum(pos + step, end)
+            np.copyto(pos, probe, where=flat_cum[probe - 1] < u_open)
             step //= 2
-        probe -= row_start
-        return probe
+        np.put(labels, open_, pos - base)
+        return labels
 
     return draw
 

@@ -88,29 +88,33 @@ def write_text(path, text):
     return path
 
 
+# (file name, text, error) of files the exact reader rejects.
+PARSE_ERRORS = [
+    ("nonnum.csv", "p_0,p_1,label\n0.5,0.5,0\n0.5,abc,1\n",
+     "nonnum.csv:3: could not convert string to float: 'abc'"),
+    ("blanks.csv", "p_0,p_1,label\n\n0.5,0.5,0\n\n  \n0.25,x,1\n",
+     "blanks.csv:6: could not convert string to float: 'x'"),
+    ("crlf.csv", "p_0,p_1\r\n0.5,0.5\r\n\r\n0.5,x\r\n",
+     "crlf.csv:4: could not convert string to float: 'x'"),
+    ("empty_field.csv", "p_0,p_1\n0.5,\n",
+     "empty_field.csv:2: could not convert string to float: ''"),
+    ("ragged.csv", "p_0,p_1\n0.5,0.5\n0.5\n", "ragged.csv:3: expected 2 fields, got 1"),
+    ("long.csv", "p_0,p_1,label\n0.5,0.5,0\n0.5,0.5,1,2\n",
+     "long.csv:3: expected 3 fields, got 4"),
+    ("header_only.csv", "p_0,p_1,label\n", "header_only.csv: no data rows"),
+    ("header_blank.csv", "p_0,p_1,label\n\n\n", "header_blank.csv: no data rows"),
+    ("empty.csv", "", "empty.csv: empty file"),
+    ("one_col.csv", "p_0,label\n1,0\n", "one_col.csv: need at least columns p_0 and p_1"),
+    ("extra.csv", "p_0,p_1,foo\n1,0,0\n",
+     "extra.csv: unexpected columns ['foo']; expected only an optional 'label'"),
+    ("header.csv", "a,b\n1,2\n", "header.csv: header must start with p_0.. or z_0.. columns"),
+]
+
+
 class TestReadPredictionsExact:
     """Exact values, error texts and line numbers of the CSV reader."""
 
-    @pytest.mark.parametrize("name, text, message", [
-        ("nonnum.csv", "p_0,p_1,label\n0.5,0.5,0\n0.5,abc,1\n",
-         "nonnum.csv:3: could not convert string to float: 'abc'"),
-        ("blanks.csv", "p_0,p_1,label\n\n0.5,0.5,0\n\n  \n0.25,x,1\n",
-         "blanks.csv:6: could not convert string to float: 'x'"),
-        ("crlf.csv", "p_0,p_1\r\n0.5,0.5\r\n\r\n0.5,x\r\n",
-         "crlf.csv:4: could not convert string to float: 'x'"),
-        ("empty_field.csv", "p_0,p_1\n0.5,\n",
-         "empty_field.csv:2: could not convert string to float: ''"),
-        ("ragged.csv", "p_0,p_1\n0.5,0.5\n0.5\n", "ragged.csv:3: expected 2 fields, got 1"),
-        ("long.csv", "p_0,p_1,label\n0.5,0.5,0\n0.5,0.5,1,2\n",
-         "long.csv:3: expected 3 fields, got 4"),
-        ("header_only.csv", "p_0,p_1,label\n", "header_only.csv: no data rows"),
-        ("header_blank.csv", "p_0,p_1,label\n\n\n", "header_blank.csv: no data rows"),
-        ("empty.csv", "", "empty.csv: empty file"),
-        ("one_col.csv", "p_0,label\n1,0\n", "one_col.csv: need at least columns p_0 and p_1"),
-        ("extra.csv", "p_0,p_1,foo\n1,0,0\n",
-         "extra.csv: unexpected columns ['foo']; expected only an optional 'label'"),
-        ("header.csv", "a,b\n1,2\n", "header.csv: header must start with p_0.. or z_0.. columns"),
-    ])
+    @pytest.mark.parametrize("name, text, message", PARSE_ERRORS)
     def test_parse_error_text(self, tmp_path, monkeypatch, name, text, message):
         monkeypatch.chdir(tmp_path)
         write_text(tmp_path / name, text)
@@ -143,10 +147,11 @@ class TestReadPredictionsExact:
         y = rng.integers(0, 3, size=n)
         path = tmp_path / "grow.csv"
         write_csv(path, q, labels=y)
-        X, kind, labels = cli.read_predictions(path)
-        assert X.shape == (n, 3) and X.flags.c_contiguous
-        assert X.tobytes() == q.tobytes()
-        assert labels == [str(v) for v in y]
+        for read in (cli._read_exact, cli.read_predictions):
+            X, kind, labels = read(path)
+            assert X.shape == (n, 3) and X.flags.c_contiguous
+            assert X.tobytes() == q.tobytes()
+            assert labels == [str(v) for v in y]
 
     def test_cli_exit_code_on_parse_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -165,6 +170,86 @@ class TestReadPredictionsExact:
         assert capsys.readouterr().err == (
             "invalid input: 'utf-8' codec can't decode byte 0xff in position 7630: "
             "invalid start byte\n")
+
+
+def outcome(read, path):
+    """What ``read(path)`` gives: its result, or the type and text of its error."""
+    try:
+        return read(path)
+    except Exception as exc:  # the error itself is what is compared
+        return type(exc), str(exc)
+
+
+def assert_same_reading(a, b):
+    if isinstance(a[0], np.ndarray) and isinstance(b[0], np.ndarray):
+        assert a[0].dtype == b[0].dtype and a[0].shape == b[0].shape
+        assert a[0].tobytes() == b[0].tobytes()
+        assert a[1:] == b[1:]
+    else:
+        assert a == b
+
+
+LONG_FIELD = "0." + "1" * 140_000
+# (file name, text, whether numpy's streamed parse may read it) of files
+# beyond PARSE_ERRORS that both readers must read the same.
+READER_CASES = [
+    ("quoted.csv", 'p_0,p_1,label\n0.5,0.5,"cat, tabby"\n"0.25",0.75," dog "\n', False),
+    ("underscore.csv", "z_0,z_1,z_2,z_3\n 0.5,nan,1_0,1e400\n-0,-inf,4.9e-324,0.1\n", False),
+    ("tokens.csv", "z_0,z_1,z_2,z_3\n 0.5,nan,-nan,1e400\n-0,-inf,4.9e-324,\t0.1 \n"
+     "+inf,INFINITY,1e-400,.5\n", True),
+    ("whitespace_lines.csv", "p_0,p_1,label\n  \n0.5,0.5,a\n\t\n\n \r\n0.25,0.75,b\n", True),
+    ("crlf_ok.csv", "p_0,p_1,label\r\n0.5,0.5,0\r\n\r\n0.25,0.75,1\r\n", True),
+    ("cr_only.csv", "p_0,p_1\r0.5,0.5\r0.25,0.75", True),
+    ("no_final_newline.csv", "p_0,p_1,label\n0.5,0.5,x\n0.25,0.75,y", True),
+    ("hash_label.csv", "p_0,p_1,label\n0.5,0.5,#1\n0.25,0.75,a # b\n", True),
+    ("padded_header.csv", " p_0 ,p_1\t, label \n0.5,0.5, a \n", True),
+    ("nbsp.csv", "p_0,p_1\n\xa00.5,0.5\u2003\n", True),
+    ("long_row.csv", ",".join(f"p_{j}" for j in range(300)) + ",label\n"
+     + ",".join(["0.1"] * 299 + ["-1.9e-14", "lbl"]) + "\n", True),
+    ("separator_label.csv", "p_0,p_1,label\n0.5,0.5,a\x1cb\n", False),
+    ("separator_value.csv", "p_0,p_1\n\x1c0.5,0.5\n", False),
+    ("nul.csv", "p_0,p_1\n0.5,0.5\x00\n", False),
+    ("huge_field.csv", f"p_0,p_1,label\n0.5,0.5,{LONG_FIELD}\n", False),
+    ("huge_value.csv", f"p_0,p_1\n{LONG_FIELD},0.5\n", False),
+    ("bom.csv", "\ufeffp_0,p_1\n0.5,0.5\n", False),
+    ("digits.csv", "p_0,p_1\n\u0661,0\n", False),
+]
+
+
+class TestReaderParity:
+    """numpy's streamed parse and the exact reader agree on every file:
+    the streamed result is the exact reader's, bit for bit, or the streamed
+    parse declines and ``read_predictions`` returns or raises exactly what
+    the exact reader does."""
+
+    @pytest.mark.parametrize("name, text, fast_reads", READER_CASES + [
+        (name, text, False) for name, text, _ in PARSE_ERRORS])
+    def test_both_readers_agree(self, tmp_path, monkeypatch, name, text, fast_reads):
+        monkeypatch.chdir(tmp_path)
+        write_text(tmp_path / name, text)
+        exact = outcome(cli._read_exact, name)
+        fast = cli._read_fast(name)
+        assert (fast is not None) == fast_reads
+        if fast is not None:
+            assert_same_reading(fast, exact)
+        assert_same_reading(outcome(cli.read_predictions, name), exact)
+
+    def test_undecodable_byte_declines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"p_0,p_1\n0.5,x\n" + b"0.5,0.5\n" * 3000 + b"\xff\xfe,1\n")
+        assert cli._read_fast(path) is None
+        assert outcome(cli.read_predictions, path) == outcome(cli._read_exact, path)
+
+    def test_generated_rows(self, tmp_path, rng):
+        # repr-written rows as the CLI and the benchmark write them.
+        q = random_simplex(rng, 500, 10)
+        y = rng.integers(0, 10, size=500)
+        path = tmp_path / "gen.csv"
+        write_csv(path, q, labels=y)
+        fast = cli._read_fast(path)
+        assert fast is not None
+        assert_same_reading(fast, cli._read_exact(path))
+        assert fast[0].tobytes() == q.tobytes()
 
 
 class TestLabelMapping:

@@ -78,12 +78,16 @@ def pseudo_labels(cum, seed, resample_indices):
     return _pseudo_labels(cum)(u)
 
 
+def dense_labels(cum, u):
+    """Dense pseudo-label draw for uniforms u (n, R): the count of cum
+    entries below each uniform, clipped to the last class."""
+    return np.minimum((u[:, :, None] > cum[:, None, :]).sum(axis=2), cum.shape[1] - 1)
+
+
 def reference_labels(cum, seed, resample_indices):
-    """Dense pseudo-label draw, shape (R, n): the count of cum entries
-    below each uniform, clipped to the last class."""
-    n, k = cum.shape
-    u = counter_uniforms(seed, resample_indices[:, None], np.arange(n)[None, :])
-    return np.minimum((u[:, :, None] > cum[None, :, :]).sum(axis=2), k - 1)
+    """Dense pseudo-labels of the resamples ``resample_indices``, shape (R, n)."""
+    u = counter_uniforms(seed, resample_indices[None, :], np.arange(cum.shape[0])[:, None])
+    return dense_labels(cum, u).T
 
 
 def reference_statistic(p, labels, statistic, m):
@@ -185,6 +189,82 @@ class TestPseudoLabels:
         labels = pseudo_labels(cum, 2, np.arange(3))
         assert np.array_equal(labels.T, reference_labels(cum, 2, np.arange(3)))
         assert np.array_equal(labels[:, 0], t)
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 100, 257])
+    def test_values_on_bucket_edges(self, k):
+        # Cum entries and uniforms on the grid j / 4096, which holds every
+        # bucket edge g / W of the guide table for W <= 4096 (k <= 1024),
+        # plus uniforms one ulp either side of each edge and equal to each
+        # entry. Rows repeat grid values through zero entries.
+        rng = np.random.default_rng(k)
+        n, grid = 40, 4096
+        steps = np.array([rng.multinomial(grid, q) for q in rng.dirichlet(np.full(k, 0.5), size=n)])
+        steps[rng.random((n, k)) < 0.3] = 0
+        steps[:, -1] += grid - steps.sum(axis=1)
+        cum = np.cumsum(steps / grid, axis=1)
+        assert np.all(cum[:, -1] == 1.0)
+        edges = np.arange(grid) / grid
+        u = np.concatenate([edges, np.nextafter(edges, 1.0), np.nextafter(edges[1:], 0.0)])
+        # Column-major on purpose: the draw takes a block of any layout.
+        u = np.asfortranarray(np.concatenate([np.broadcast_to(u, (n, u.size)), cum[:, :-1]],
+                                             axis=1))
+        assert np.array_equal(_pseudo_labels(cum)(u), dense_labels(cum, u))
+
+    @pytest.mark.parametrize("k", [2, 3, 100, 257])
+    def test_one_hot_rows_and_zero_columns(self, k):
+        # One-hot rows put k - 1 equal entries (0 before the hot class, 1
+        # from it on) in the first and last buckets; zero columns repeat
+        # entries anywhere. u = 0 is below no entry.
+        rng = np.random.default_rng(200 + k)
+        n = 3 * k
+        p = rng.dirichlet(np.ones(k), size=n)
+        p[:, rng.random(k) < 0.5] = 0.0
+        p[:, 0] += p.sum(axis=1) == 0
+        p /= p.sum(axis=1, keepdims=True)
+        hot = np.arange(n) % k
+        p[::3] = np.eye(k)[hot[::3]]
+        cum = np.cumsum(p, axis=1)
+        u = counter_uniforms(4, np.arange(64)[None, :], np.arange(n)[:, None])
+        u[:, 0] = 0.0
+        u[:, 1] = 1.0 - 2.0**-53
+        labels = _pseudo_labels(cum)(u)
+        assert np.array_equal(labels, dense_labels(cum, u))
+        assert np.array_equal(labels[::3, 1], hot[::3])
+        assert np.all(labels[:, 0] == 0)
+
+    @pytest.mark.parametrize("k", [2, 10, 100, 257])
+    def test_cum_ending_one_ulp_from_one(self, k):
+        # Rows end at 1 - ulp, 1 or 1 + ulp, with the last column zero or
+        # not, so the last counted entry cum[k - 2] sits at or next to 1
+        # and the largest uniform, 1 - 2**-53, may or may not exceed it.
+        below, above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+        ends = []
+        for end in (np.nextafter(below, 0.0), below, 1.0, above):
+            for last in (0.0, 0.25):
+                row = np.linspace(0.0, end - last, k)
+                row[-2] = end - last
+                row[-1] = end
+                ends.append(row)
+        cum = np.array(ends)
+        u = np.array([0.0, 0.5, 0.75, below - 2.0**-53, below])
+        u = np.broadcast_to(u, (cum.shape[0], u.size)).copy()
+        labels = _pseudo_labels(cum)(u)
+        assert np.array_equal(labels, dense_labels(cum, u))
+        assert np.any(labels == k - 1) and np.any(labels[:, -1] < k - 1)
+
+    @pytest.mark.parametrize("k", [2, 100, 257])
+    def test_single_row(self, k):
+        p = np.random.default_rng(k).dirichlet(np.ones(k), size=1)
+        cum = np.cumsum(p, axis=1)
+        idx = np.arange(300)
+        assert np.array_equal(pseudo_labels(cum, 1, idx).T, reference_labels(cum, 1, idx))
+
+    def test_labels_past_255(self):
+        # k = 257: labels up to 256 need a table wider than one byte.
+        k = 257
+        p = np.eye(k)[[256, 255, 0]]
+        labels = pseudo_labels(np.cumsum(p, axis=1), 0, np.arange(5))
+        assert labels.tolist() == [[256] * 5, [255] * 5, [0] * 5]
 
     @pytest.mark.parametrize("n_resamples", [1, 255, 256, 257])
     def test_resample_counts_around_chunk(self, n_resamples):
@@ -293,6 +373,23 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_classwise_memory_at_paper_scale(self):
+        # n = 10^4, k = 100 as on CIFAR-100; R = 52 is two blocks of 26.
+        # The bisection draw that the guide table replaced peaked at
+        # 25.28 MB here (its padded float64 table alone is 10 MB); the
+        # guide table with cum and the int32 bin keys must stay within
+        # 1 MB of that.
+        rng = np.random.default_rng(0)
+        p = random_simplex(rng, 10_000, 100)
+        y = rng.integers(0, 100, size=10_000)
+        tracemalloc.start()
+        try:
+            calibration_test(p, y, "cw_ece", 15, 52, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 26.28 * 2**20
 
 
 class TestBattery:

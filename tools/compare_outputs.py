@@ -33,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
 import datagen  # noqa: E402
+import numpy as np  # noqa: E402
 
 METHODS = ("dirichlet_l2", "dirichlet_odir", "temperature", "vector_scaling", "matrix_odir",
            "ovr_isotonic", "ovr_width_bin", "ovr_freq_bin", "ovr_beta", "uncalibrated")
@@ -52,14 +53,31 @@ def run(src, workdir, argv):
     return proc.stdout
 
 
+def sparse_rows(seed, n, k):
+    """``datagen.dirichlet_rows`` with every third column zero and every
+    fifth row one-hot on its most probable class."""
+    p, y = datagen.dirichlet_rows(seed, n, k, 2.0)
+    p[:, ::3] = 0.0
+    p /= p.sum(axis=1, keepdims=True)
+    hot = p[::5].argmax(axis=1)
+    p[::5] = 0.0
+    p[np.arange(0, n, 5), hot] = 1.0
+    return p, y
+
+
 def inputs(workdir, seed):
-    """Seeded prediction files: probabilities at k = 3, 10 and 100, logits at
-    k = 10. At n = 2000 the k = 100 file takes resample blocks below 256 and
-    the 7-step pseudo-label bisection."""
+    """Seeded prediction files: probabilities at k = 3, 10, 100 and 300, a
+    k = 100 file with zero columns and one-hot rows, and logits at k = 10.
+    At n = 2000 the k = 100 files take resample blocks below 256. The
+    k = 300 file's pseudo-labels pass 255, so its guide table holds two-byte
+    counts; the sparse file repeats cumulative sums, so many draws fall in
+    buckets that hold several of them and take the bisection."""
     cases = {
         "p3.csv": (datagen.dirichlet_rows(seed, 600, 3, 2.0), "p_"),
         "p10.csv": (datagen.dirichlet_rows(seed, 1000, 10, 2.0), "p_"),
         "p100.csv": (datagen.dirichlet_rows(seed, 2000, 100, 2.0), "p_"),
+        "p100sparse.csv": (sparse_rows(seed, 2000, 100), "p_"),
+        "p300.csv": (datagen.dirichlet_rows(seed, 1000, 300, 2.0), "p_"),
         "z10.csv": (datagen.gaussian_logits(seed, 1000, 10, 0.6), "z_"),
     }
     for name, ((X, y), prefix) in cases.items():
@@ -69,7 +87,7 @@ def inputs(workdir, seed):
 def jobs(seed):
     """(name, argv, files written) of every run; stdout is always compared."""
     out = []
-    for data in ("p3.csv", "p10.csv", "p100.csv"):
+    for data in ("p3.csv", "p10.csv", "p100.csv", "p100sparse.csv", "p300.csv"):
         for fmt in ("text", "json-lines"):
             out.append((f"eval {data} {fmt}", ["eval", data, "--resamples", "300", "--seed",
                                                 str(seed), "--format", fmt], []))
