@@ -48,7 +48,7 @@ from .metrics import (
     mce,
 )
 from .models import CalibratorModel, EnsembleModel, fit_calibrator, model_from_dict
-from .optim import OptimizationError, OptimResult, minimize, minimize_scalar
+from .optim import OptimizationError, OptimResult, minimize
 from .ovr import (
     BetaParams,
     BinningMap,

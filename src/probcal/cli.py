@@ -147,7 +147,11 @@ def _read_exact(path):
     """``read_predictions`` field by field: each by Python's ``float``,
     into one buffer that doubles when full; no per-row lists are kept."""
     with open(path, newline="", encoding="utf-8") as fh:
-        return _parse_predictions(path, csv.reader(fh))
+        rows = csv.reader(fh)
+        try:
+            return _parse_predictions(path, rows)
+        except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+            raise ParseError(f"{path}:{rows.line_num}: {exc}") from exc
 
 
 def _parse_predictions(path, rows):

@@ -17,13 +17,12 @@ interpretation points of the canonical form.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ROW_SUM_TOL, as_label_vector, log_transform, softmax
-from .optim import DENSE_NEWTON_MAX_DIM, minimize
+from .optim import DENSE_NEWTON_MAX_DIM, minimize, warn_unconverged
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +524,7 @@ def fit_multinomial(feats, labels, reg, diagonal: bool = False,
         tol=tol,
         max_iter=max_iter,
     )
-    if not result.converged:
-        warnings.warn(
-            f"calibration fit stopped at gradient norm {result.gradient_norm:.2e} "
-            f"after {result.iterations} iterations",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    warn_unconverged(result, stacklevel=3)
     M = _unpack(result.params, free)
     W, b = M[:, :k], M[:, k]
     W = W if diagonal or pen[:, :k].any() else W - W.mean(axis=0)

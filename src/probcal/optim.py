@@ -1,7 +1,7 @@
 """Deterministic convex minimization used by the fitted calibrators.
 
-Two routines: a multivariate descent with Armijo backtracking, and a
-bounded golden-section search for one-dimensional problems. The descent
+One routine, a descent with Armijo backtracking, fits every calibrator
+with a smooth objective, the one-parameter temperature included. It
 takes Newton steps when given the Hessian, either as a dense matrix (solved
 by LU, or by least squares for the minimum-norm step when it is exactly
 singular) or as an operator (solved by truncated preconditioned conjugate
@@ -12,10 +12,11 @@ An operator may compute its products in lower precision (the multinomial
 fits use float32 ones above ``DENSE_NEWTON_MAX_DIM``); that changes only
 how closely CG solves a Newton step, which is an approximate solve anyway
 (inexact Newton, Dembo, Eisenstat & Steihaug 1982).
-Both routines are free of randomness, so repeated runs on identical inputs
-produce bit-identical results.
+It is free of randomness, so repeated runs on identical inputs produce
+bit-identical results.
 """
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -49,6 +50,15 @@ class OptimResult:
     iterations: int
     gradient_norm: float
     converged: bool
+
+
+def warn_unconverged(result: OptimResult, stacklevel: int = 2) -> None:
+    """Warn (RuntimeWarning) if a fit stopped before its gradient met ``tol``;
+    ``stacklevel`` counts from the caller, as in ``warnings.warn``."""
+    if not result.converged:
+        warnings.warn(f"calibration fit stopped at gradient norm {result.gradient_norm:.2e} "
+                      f"after {result.iterations} iterations", RuntimeWarning,
+                      stacklevel=stacklevel + 1)
 
 
 def _newton_direction(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -186,32 +196,3 @@ def minimize(
         converged=bool(gnorm <= tol),
     )
 
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def minimize_scalar(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-8) -> float:
-    """Golden-section search for the minimum of a unimodal f on [lo, hi].
-
-    Ties between the two probe values keep the lower bracket, so a flat
-    stretch of minima (e.g. a loss saturated at floating-point resolution)
-    resolves to its smallest argmin.
-    """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)

@@ -9,6 +9,7 @@ expressed exactly as a Dirichlet map on probabilities, which is also
 implemented here.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .core import as_label_vector, as_logit_matrix, softmax
 from .dirichlet import LinearParams, OdirConfig, fit_multinomial, softmax_layer
-from .optim import minimize_scalar
+from .optim import minimize, warn_unconverged
 
 #: Search bounds for the fitted temperature.
 T_MIN = 1e-2
@@ -54,41 +55,60 @@ def apply_temperature(z, params) -> np.ndarray:
 
 
 def fit_temperature(z, labels, t_min: float = T_MIN, t_max: float = T_MAX,
-                    tol: float = 1e-10) -> TemperatureParams:
+                    tol: float = 1e-8) -> TemperatureParams:
     """Pick the temperature minimizing mean log-loss on held-out logits.
 
-    The search runs over log t on [t_min, t_max]; a fit landing on a bound
-    triggers a warning, since the data wanted unbounded sharpening (every
-    prediction correct) or flattening (predictions uninformative).
+    This is the Dirichlet map W = I/t, b = 0 (``temperature_as_dirichlet``),
+    fitted as beta = 1/t by ``optim.minimize`` from beta = 1: the loss is
+    convex in beta, with gradient mean(E_p[z] - z_y) and curvature
+    mean(Var_p[z]) under p = softmax(beta z). ``tol`` bounds the gradient's
+    magnitude, and a fit stopping short of it warns. The gradient's sign
+    keeps the bounds: if the loss still falls at t_min, the fit returns
+    t_min, else if it still rises at t_max, t_max, with a warning either
+    way, since the data wanted unbounded sharpening (every prediction
+    correct) or flattening (predictions uninformative). A loss flat in beta
+    (every row's logits equal) gives t_min.
 
-    The logits are transposed once per fit to a (k, n) array, and each loss
+    The logits are transposed once per fit to a (k, n) array, and each
     evaluation reduces over its axis 0: at k <= 11, numpy's max and sum
     along the short rows of an (n, k) array are an order of magnitude
     slower (see ``dirichlet._prepare``).
     """
+    if not 0.0 < t_min < t_max:
+        raise ValueError(f"need 0 < t_min < t_max, got [{t_min}, {t_max}]")
     z = as_logit_matrix(z)
     y = as_label_vector(labels, z.shape[1], z.shape[0])
     if np.unique(y).size < 2:
         raise ValueError("labels contain a single class; nothing to fit")
-    zt = np.ascontiguousarray(z.T)
-    picked = (y, np.arange(z.shape[0]))
+    # Logits less the label's: the loss is then mean(logsumexp(beta d)), and
+    # a row of equal logits adds exactly 0 to the gradient.
+    d = np.ascontiguousarray(z.T)
+    d -= d[y, np.arange(d.shape[1])]
 
-    def loss_at_log_t(log_t):
-        scaled = zt / np.exp(log_t)
-        shifted = scaled - scaled.max(axis=0)
-        log_norm = np.log(np.exp(shifted).sum(axis=0))
-        return -(shifted[picked] - log_norm).mean()
+    # Loss, gradient and Hessian; minimize asks for the Hessian at its last point.
+    @functools.lru_cache(maxsize=1)
+    def moments(beta):
+        s = beta * d
+        top = s.max(axis=0)
+        p = np.exp(s - top)
+        norm = p.sum(axis=0)
+        p /= norm
+        mean = (p * d).sum(axis=0)
+        var = (p * (d - mean) ** 2).sum(axis=0)
+        return float((top + np.log(norm)).mean()), np.array([mean.mean()]), np.array([[var.mean()]])
 
-    lo, hi = np.log(t_min), np.log(t_max)
-    best = minimize_scalar(loss_at_log_t, lo, hi, tol=tol)
-    if min(best - lo, hi - best) < 1e-6 * (hi - lo):
-        warnings.warn(
-            f"fitted temperature {np.exp(best):g} sits on the search bound "
-            f"[{t_min:g}, {t_max:g}]",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return TemperatureParams(t=float(np.exp(np.clip(best, lo, hi))))
+    if moments(1.0 / t_min)[1][0] <= 0.0:
+        t = t_min
+    elif moments(1.0 / t_max)[1][0] >= 0.0:
+        t = t_max
+    else:
+        result = minimize(lambda b: moments(b[0])[:2], [1.0], hess=lambda b: moments(b[0])[2],
+                          tol=tol)
+        warn_unconverged(result)
+        return TemperatureParams(t=float(np.clip(1.0 / result.params[0], t_min, t_max)))
+    warnings.warn(f"fitted temperature {t:g} sits on the search bound [{t_min:g}, {t_max:g}]",
+                  RuntimeWarning, stacklevel=2)
+    return TemperatureParams(t=t)
 
 
 def temperature_as_dirichlet(params, k: int) -> LinearParams:

@@ -160,6 +160,20 @@ class TestReadPredictionsExact:
         assert capsys.readouterr().err == (
             "error: nonnum.csv:3: could not convert string to float: 'abc'\n")
 
+    @pytest.mark.parametrize("header, row2", [
+        ("p_0,p_1,label", "0.5,0.5,0"),   # reading rows
+        ("p_0,q_1,label", "0.5,0.5,0"),   # reading on past a bad header
+        ("p_0,p_1,label", "0.5,abc,0"),   # reading on past a bad number
+    ])
+    def test_oversized_field_is_a_parse_error(self, tmp_path, monkeypatch, capsys, header, row2):
+        # A field longer than csv.field_size_limit() on line 3 is reported
+        # there, before any format error on an earlier line.
+        monkeypatch.chdir(tmp_path)
+        write_text(tmp_path / "big.csv", f"{header}\n{row2}\n0.5,0.5,{'x' * 140_000}\n")
+        assert cli.main(["eval", "big.csv", "--resamples", "0"]) == cli.EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "error: big.csv:3: field larger than field limit (131072)\n")
+
     def test_undecodable_byte_outranks_earlier_parse_error(self, tmp_path, monkeypatch, capsys):
         # The whole file is decoded before any row is judged, so a bad byte
         # far past a bad number is the error reported (exit 3, not 2).

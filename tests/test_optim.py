@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from probcal.optim import (DENSE_NEWTON_MAX_DIM, OptimizationError, _cg_direction, minimize,
-                           minimize_scalar)
+from probcal.optim import DENSE_NEWTON_MAX_DIM, OptimizationError, _cg_direction, minimize
 
 
 def quadratic_1d(x):
@@ -210,23 +209,3 @@ class TestMinimize:
         with pytest.raises(ValueError):
             minimize(quadratic_1d, [1.0], tol=0.0)
 
-
-class TestMinimizeScalar:
-    def test_parabola(self):
-        assert minimize_scalar(lambda t: (t - 3.0) ** 2, 0.0, 10.0, tol=1e-8) == pytest.approx(3.0, abs=1e-6)
-
-    def test_temperature_style_loss(self):
-        # Mean log-loss of a 3-instance problem whose stationary point is
-        # sigmoid(2/t) = 2/3, i.e. t = 2 / ln 2.
-        def loss(t):
-            s = 1.0 / (1.0 + np.exp(-2.0 / t))
-            return (-2.0 * np.log(s) - np.log(1.0 - s)) / 3.0
-
-        assert minimize_scalar(loss, 0.1, 20.0, tol=1e-10) == pytest.approx(2.0 / np.log(2.0), abs=1e-3)
-
-    def test_boundary_minimum(self):
-        assert minimize_scalar(lambda t: t, 1.0, 2.0, tol=1e-8) == pytest.approx(1.0, abs=1e-7)
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            minimize_scalar(lambda t: t, 2.0, 1.0)

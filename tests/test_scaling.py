@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -16,7 +17,6 @@ from probcal.scaling import (
     zero_offdiagonal,
 )
 from probcal.dirichlet import apply_linear, OdirConfig
-from probcal.optim import minimize_scalar
 
 from oracles import central_difference, sample_labels_from_rows
 
@@ -58,12 +58,18 @@ class TestFitTemperature:
     def test_separable_data_clamps_low(self):
         with pytest.warns(RuntimeWarning, match="bound"):
             fitted = fit_temperature(np.array([[2.0, 0.0], [0.0, 2.0]]), np.array([0, 1]))
-        assert fitted.t == pytest.approx(1e-2, rel=1e-3)
+        assert fitted.t == 1e-2
 
     def test_uninformative_data_clamps_high(self):
         with pytest.warns(RuntimeWarning, match="bound"):
             fitted = fit_temperature(np.array([[2.0, 0.0], [2.0, 0.0]]), np.array([0, 1]))
-        assert fitted.t == pytest.approx(1e2, rel=1e-3)
+        assert fitted.t == 1e2
+
+    def test_flat_loss_clamps_low(self):
+        # Equal logits in every row: the loss does not depend on t at all.
+        with pytest.warns(RuntimeWarning, match="bound"):
+            fitted = fit_temperature(np.full((5, 3), 0.1), np.array([0, 1, 2, 0, 1]))
+        assert fitted.t == 1e-2
 
     def test_always_within_bounds(self, rng):
         import warnings
@@ -78,23 +84,29 @@ class TestFitTemperature:
                 fitted = fit_temperature(z, y)
             assert 1e-2 <= fitted.t <= 1e2
 
-    def test_search_loss_is_log_loss_at_fitted_temperature(self, rng, monkeypatch):
-        # The loss fit_temperature minimises (class-major, over log t) is the
-        # mean log-loss of apply_temperature.
-        from probcal import scaling
-
-        losses = []
-
-        def recording(f, lo, hi, **kwargs):
-            losses.append(f)
-            return minimize_scalar(f, lo, hi, **kwargs)
-
-        monkeypatch.setattr(scaling, "minimize_scalar", recording)
-        z = rng.normal(scale=3.0, size=(500, 7))
+    @pytest.mark.parametrize("k", [7, 100])
+    def test_fitted_temperature_is_stationary_for_log_loss(self, rng, k):
+        # The loss fit_temperature minimises is the mean log-loss of
+        # apply_temperature: its derivative in beta = 1/t vanishes at the fit.
+        z = rng.normal(scale=3.0, size=(2000, k))
         y = sample_labels_from_rows(rng, softmax(z / 2.0, axis=1))
         t = fit_temperature(z, y).t
-        assert len(losses) == 1
-        assert abs(losses[0](np.log(t)) - log_loss(apply_temperature(z, t), y)) <= 1e-12
+        slope = central_difference(lambda b: log_loss(apply_temperature(z, 1.0 / b[0]), y), [1.0 / t])
+        assert abs(slope[0]) <= 1e-6
+
+    def test_unconverged_fit_warns(self, monkeypatch):
+        # No Newton step allowed: the fit stops at its start, beta = 1.
+        from probcal import optim, scaling
+
+        monkeypatch.setattr(scaling, "minimize", functools.partial(optim.minimize, max_iter=0))
+        with pytest.warns(RuntimeWarning, match="stopped at gradient norm .* after 0 iterations"):
+            fitted = fit_temperature(THREE_ROWS, THREE_LABELS)
+        assert fitted.t == 1.0
+
+    def test_rejects_bad_bounds(self):
+        for t_min, t_max in ((0.0, 1.0), (2.0, 1.0)):
+            with pytest.raises(ValueError):
+                fit_temperature(THREE_ROWS, THREE_LABELS, t_min=t_min, t_max=t_max)
 
     def test_rejects_single_class(self):
         with pytest.raises(ValueError):
