@@ -59,20 +59,16 @@ def fit_temperature(z, labels, t_min: float = T_MIN, t_max: float = T_MAX,
     """Pick the temperature minimizing mean log-loss on held-out logits.
 
     This is the Dirichlet map W = I/t, b = 0 (``temperature_as_dirichlet``),
-    fitted as beta = 1/t by ``optim.minimize`` from beta = 1: the loss is
-    convex in beta, with gradient mean(E_p[z] - z_y) and curvature
-    mean(Var_p[z]) under p = softmax(beta z). ``tol`` bounds the gradient's
-    magnitude, and a fit stopping short of it warns. The gradient's sign
-    keeps the bounds: if the loss still falls at t_min, the fit returns
-    t_min, else if it still rises at t_max, t_max, with a warning either
-    way, since the data wanted unbounded sharpening (every prediction
-    correct) or flattening (predictions uninformative). A loss flat in beta
-    (every row's logits equal) gives t_min.
-
-    The logits are transposed once per fit to a (k, n) array, and each
-    evaluation reduces over its axis 0: at k <= 11, numpy's max and sum
-    along the short rows of an (n, k) array are an order of magnitude
-    slower (see ``dirichlet._prepare``).
+    fitted as beta = 1/t by ``optim.minimize``: the loss is convex in beta,
+    with gradient mean(E_p[z] - z_y) and curvature mean(Var_p[z]) under
+    p = softmax(beta z). ``tol`` bounds the gradient's magnitude; a fit
+    stopping short of it warns. If the loss still falls at t_min, the fit
+    returns t_min, else if it still rises at t_max, t_max, with a warning
+    either way: the data want unbounded sharpening (every prediction
+    correct) or flattening (predictions uninformative); a loss flat in beta
+    gives t_min. Otherwise Newton's method starts at the geometric middle
+    of [1/t_max, 1/t_min] (beta = 1 by default), and no step goes more than
+    halfway to the end it heads for: in confident data the curvature nears 0.
     """
     if not 0.0 < t_min < t_max:
         raise ValueError(f"need 0 < t_min < t_max, got [{t_min}, {t_max}]")
@@ -80,32 +76,37 @@ def fit_temperature(z, labels, t_min: float = T_MIN, t_max: float = T_MAX,
     y = as_label_vector(labels, z.shape[1], z.shape[0])
     if np.unique(y).size < 2:
         raise ValueError("labels contain a single class; nothing to fit")
-    # Logits less the label's: the loss is then mean(logsumexp(beta d)), and
-    # a row of equal logits adds exactly 0 to the gradient.
+    # Logits less the label's, class-major (see dirichlet._prepare): the loss
+    # is mean(logsumexp(beta d)), and equal logits add exactly 0 to the gradient.
     d = np.ascontiguousarray(z.T)
-    d -= d[y, np.arange(d.shape[1])]
+    label = y * d.shape[1] + np.arange(d.shape[1])
+    d -= d.flat[label]
 
-    # Loss, gradient and Hessian; minimize asks for the Hessian at its last point.
+    # Loss, gradient and curvature; minimize asks for the Hessian at its last point.
     @functools.lru_cache(maxsize=1)
     def moments(beta):
         s = beta * d
         top = s.max(axis=0)
         p = np.exp(s - top)
-        norm = p.sum(axis=0)
-        p /= norm
+        p.flat[label] = 0.0  # so that a confident row's loss is log1p(rest)
+        rest = p.sum(axis=0)
+        p.flat[label] = own = np.exp(-top)
+        p /= rest + own
         mean = (p * d).sum(axis=0)
         var = (p * (d - mean) ** 2).sum(axis=0)
-        return float((top + np.log(norm)).mean()), np.array([mean.mean()]), np.array([[var.mean()]])
+        return float((top + np.log1p(rest + np.expm1(-top))).mean()), mean.mean(), var.mean()
 
-    if moments(1.0 / t_min)[1][0] <= 0.0:
-        t = t_min
-    elif moments(1.0 / t_max)[1][0] >= 0.0:
-        t = t_max
-    else:
-        result = minimize(lambda b: moments(b[0])[:2], [1.0], hess=lambda b: moments(b[0])[2],
-                          tol=tol)
+    def hessian(b):
+        _, g, h = moments(b[0])
+        return np.array([[max(h, 2.0 * g / (b[0] - lo), -2.0 * g / (hi - b[0]))]])
+
+    lo, hi = 1.0 / t_max, 1.0 / t_min
+    if moments(hi)[1] > 0.0 > moments(lo)[1]:
+        result = minimize(lambda b: (moments(b[0])[0], np.array([moments(b[0])[1]])),
+                          [np.sqrt(lo * hi)], hess=hessian, tol=tol)
         warn_unconverged(result)
         return TemperatureParams(t=float(np.clip(1.0 / result.params[0], t_min, t_max)))
+    t = t_min if moments(hi)[1] <= 0.0 else t_max
     warnings.warn(f"fitted temperature {t:g} sits on the search bound [{t_min:g}, {t_max:g}]",
                   RuntimeWarning, stacklevel=2)
     return TemperatureParams(t=t)

@@ -55,6 +55,32 @@ class TestFitTemperature:
         fitted = fit_temperature(THREE_ROWS, THREE_LABELS)
         assert fitted.t == pytest.approx(2.0 / np.log(2.0), abs=1e-3)
 
+    @pytest.mark.parametrize("bounds", [(2.0, 5.0), (2.8, 2.9)])
+    def test_closed_form_inside_other_bounds(self, bounds):
+        # beta = 1 lies outside [1/t_max, 1/t_min]: the fit starts inside.
+        fitted = fit_temperature(THREE_ROWS, THREE_LABELS, *bounds)
+        assert fitted.t == pytest.approx(2.0 / np.log(2.0), rel=1e-8)
+
+    @pytest.mark.parametrize("margin", [60.0, 250.0])
+    def test_large_margins_converge(self, margin):
+        # Every row confident: at t = 1 the curvature is near 0 (3e-23 at
+        # margin 60). 19 correct rows and one wrong one put the optimum at
+        # exp(margin / t) = 19. No warning is raised (RuntimeWarning is an error).
+        z = np.array([[margin, 0.0]] * 10 + [[0.0, margin]] * 10)
+        y = np.array([0] * 10 + [1] * 9 + [0])
+        assert fit_temperature(z, y).t == pytest.approx(margin / np.log(19.0), rel=1e-8)
+
+    def test_many_confident_rows_converge(self):
+        # 1000 correct rows at margin 200 over 9 rivals, and one wrong row:
+        # the optimum is exp(200 / t) = 9000. The loss is near 0.01, so it
+        # must be resolved to a few ulps for the line search to stop at tol.
+        k, margin = 10, 200.0
+        z = np.zeros((1001, k))
+        z[np.arange(1001), np.arange(1001) % k] = margin
+        y = np.arange(1001) % k
+        y[-1] = (y[-1] + 1) % k
+        assert fit_temperature(z, y).t == pytest.approx(margin / np.log(9000.0), rel=1e-8)
+
     def test_separable_data_clamps_low(self):
         with pytest.warns(RuntimeWarning, match="bound"):
             fitted = fit_temperature(np.array([[2.0, 0.0], [0.0, 2.0]]), np.array([0, 1]))
