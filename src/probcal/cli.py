@@ -30,7 +30,7 @@ import numpy as np
 from .core import DEFAULT_CLIP_FLOOR, LOGITS, PROBABILITIES
 from .diagrams import reliability_table, render_reliability_svg
 from .dirichlet import interpretation_points, to_canonical
-from .harness import LAMBDA_GRID, HyperGrid, compare_methods, cross_val_fit
+from .harness import LAMBDA_GRID, HyperGrid, _evaluate_and_test, compare_methods, cross_val_fit
 from .metrics import DEFAULT_BINS, classwise_reliability, confidence_reliability, evaluate
 from .models import METHOD_INPUT, METHOD_SPECS, METHODS, EnsembleModel, method_spec, model_from_dict
 from .optim import OptimizationError
@@ -405,14 +405,13 @@ def cmd_apply(args) -> int:
 
 def cmd_eval(args) -> int:
     X, _, y, _ = _read_labelled(args)
-    report = evaluate(X, y, args.bins, args.clip_floor)
     if args.resamples:
-        conf_t = calibration_test(X, y, "conf_ece", args.bins, args.resamples, args.seed)
-        cw_t = calibration_test(X, y, "cw_ece", args.bins, args.resamples, args.seed + 1)
-        report.p_conf_ece = conf_t.p_value
-        report.p_cw_ece = cw_t.p_value
+        report, _, _ = _evaluate_and_test(X, y, args.bins, args.clip_floor, args.resamples,
+                                          args.seed)
         report.extras["resamples"] = args.resamples
         report.extras["seed"] = args.seed
+    else:
+        report = evaluate(X, y, args.bins, args.clip_floor)
     _emit_records([report.as_dict()], args.format, sys.stdout)
     return EXIT_OK
 

@@ -137,9 +137,10 @@ def clip_probabilities(p, floor: float = DEFAULT_CLIP_FLOOR) -> np.ndarray:
 def softmax(v, axis: int = -1) -> np.ndarray:
     """Overflow-safe softmax along ``axis`` (max is subtracted first)."""
     v = np.asarray(v, dtype=float)
-    shifted = v - np.max(v, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = v - np.max(v, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def log_transform(p) -> np.ndarray:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_CLIP_FLOOR, LOGITS, PROBABILITIES, softmax
-from .metrics import DEFAULT_BINS, evaluate, log_loss
+from .core import DEFAULT_CLIP_FLOOR, LOGITS, PROBABILITIES, as_probability_matrix, softmax
+from .metrics import DEFAULT_BINS, _Binning, _confidence_binning, evaluate, log_loss
 from .models import METHOD_INPUT, EnsembleModel, fit_calibrator, method_spec
 from .stattest import _mix64, acceptance_rate, calibration_test, check_alpha
 
@@ -160,6 +160,21 @@ class MethodComparison:
         return {"method": self.method, **{name: getattr(self, name) for name in MEASURES}}
 
 
+def _evaluate_and_test(p, y, m: int, floor: float, n_resamples: int, seed: int):
+    """``evaluate`` and both calibration tests, the confidence test with
+    ``seed`` and the classwise one with ``seed + 1``, on one binning of the
+    predictions. Returns the report, which carries both p-values, and the
+    two test results."""
+    p = as_probability_matrix(p)
+    classwise, conf = _Binning(p, m), _confidence_binning(p, m)
+    report = evaluate(p, y, m, floor, _binnings=(classwise, conf))
+    conf_t = calibration_test(p, y, "conf_ece", m, n_resamples, seed, _binning=conf)
+    del conf  # the classwise test sets the peak; hold no more through it than it needs
+    cw_t = calibration_test(p, y, "cw_ece", m, n_resamples, seed + 1, _binning=classwise)
+    report.p_conf_ece, report.p_cw_ece = conf_t.p_value, cw_t.p_value
+    return report, conf_t, cw_t
+
+
 def compare_methods(X, y, kind: str, methods, repeats: int = 5, outer_folds: int = 5,
                     inner_folds: int = 3, grids: dict | None = None,
                     fixed_hypers: dict | None = None,
@@ -215,13 +230,8 @@ def compare_methods(X, y, kind: str, methods, repeats: int = 5, outer_folds: int
                     grid=grid, fixed_hyper=fixed, clip_floor=clip_floor,
                 )
                 calibrated = model.apply(feats[test])
-                report = evaluate(calibrated, y[test], bins, clip_floor)
-                conf_t = calibration_test(calibrated, y[test], "conf_ece", bins,
-                                          n_resamples, test_seed)
-                cw_t = calibration_test(calibrated, y[test], "cw_ece", bins,
-                                        n_resamples, test_seed + 1)
-                report.p_conf_ece = conf_t.p_value
-                report.p_cw_ece = cw_t.p_value
+                report, conf_t, cw_t = _evaluate_and_test(calibrated, y[test], bins, clip_floor,
+                                                          n_resamples, test_seed)
                 per_method[method].append((report, best_hyper, conf_t, cw_t))
 
     results = []

@@ -155,15 +155,16 @@ def _checked(p, y):
 # The underscored helpers below take already-validated arrays; the public
 # measures validate their inputs and delegate to them.
 
-def _classwise_ece(p, y, m: int):
-    per_class = _Binning(p, m).gaps(y[:, None])[0]
+def _classwise_ece(binning: _Binning, y):
+    per_class = binning.gaps(y[:, None])[0]
     return float(per_class.mean()), per_class
 
 
 def _brier(p, y) -> float:
-    onehot = np.zeros_like(p)
-    onehot[np.arange(p.shape[0]), y] = 1.0
-    return float(((p - onehot) ** 2).sum(axis=1).mean())
+    d = p.copy()
+    d[np.arange(p.shape[0]), y] -= 1.0
+    d *= d
+    return float(d.sum(axis=1).mean())
 
 
 def _log_loss(p, y, floor: float) -> float:
@@ -203,7 +204,8 @@ def classwise_ece(p, y, m: int = DEFAULT_BINS):
     predicted class-j probability over class-j bins, and ``cw_ece`` is
     the average over classes.
     """
-    return _classwise_ece(*_checked(p, y), m)
+    p, y = _checked(p, y)
+    return _classwise_ece(_Binning(p, m), y)
 
 
 def mce(p, y, m: int = DEFAULT_BINS) -> float:
@@ -289,13 +291,18 @@ class EvalReport:
         return out
 
 
-def evaluate(p, y, m: int = DEFAULT_BINS, floor: float = DEFAULT_CLIP_FLOOR) -> EvalReport:
-    """Compute the full measure bundle (significance p-values not included)."""
+def evaluate(p, y, m: int = DEFAULT_BINS, floor: float = DEFAULT_CLIP_FLOOR, *,
+             _binnings=None) -> EvalReport:
+    """Compute the full measure bundle (significance p-values not included).
+
+    ``_binnings``, the classwise ``_Binning`` of ``p`` and its confidence
+    binning, both with ``m`` bins, saves building them here.
+    """
     p, y = _checked(p, y)
+    classwise, conf = _binnings or (_Binning(p, m), _confidence_binning(p, m))
     correct = _correct(p, y)
     acc = float(correct.mean())
-    cw, per_class = _classwise_ece(p, y, m)
-    conf = _confidence_binning(p, m)
+    cw, per_class = _classwise_ece(classwise, y)
     return EvalReport(
         accuracy=acc,
         error_rate=1.0 - acc,

@@ -136,12 +136,8 @@ def method_spec(method: str) -> MethodSpec:
 
 def _binary_to_jsonable(m) -> dict:
     if isinstance(m, ovr.IsotonicMap):
-        # One entry per run of equal values (a PAV block). ``predict`` reads
-        # the value at the last breakpoint at or below the score, so the
-        # breakpoints inside a run change no prediction.
-        run = np.concatenate(([True], np.diff(m.values) != 0.0))
-        return {"type": "isotonic", "breakpoints": m.breakpoints[run].tolist(),
-                "values": m.values[run].tolist()}
+        return {"type": "isotonic", "breakpoints": m.breakpoints.tolist(),
+                "values": m.values.tolist()}
     if isinstance(m, ovr.BinningMap):
         return {"type": "binning", "edges": m.edges.tolist(), "bin_values": m.bin_values.tolist(),
                 "scheme": m.scheme}
@@ -275,9 +271,18 @@ class EnsembleModel:
         return self.members[0].hyperparams
 
     def apply(self, X) -> np.ndarray:
-        outputs = [m.apply(X) for m in self.members]
-        mean = np.mean(outputs, axis=0)
-        return mean / mean.sum(axis=-1, keepdims=True)
+        """Mean of the members' outputs, renormalized.
+
+        The mean is a running sum over the members in order, divided by
+        their count, so one member's output is held beside it at a time;
+        the additions are those of ``np.mean`` along the member axis.
+        """
+        total = self.members[0].apply(X)
+        for m in self.members[1:]:
+            total += m.apply(X)
+        total /= len(self.members)
+        total /= total.sum(axis=-1, keepdims=True)
+        return total
 
     def to_dict(self) -> dict:
         return {

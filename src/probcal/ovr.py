@@ -198,8 +198,18 @@ def fit_beta(scores, labels, lam: float = 1e-10,
     )
 
 
+def _isotonic_runs(scores, labels) -> IsotonicMap:
+    """``fit_isotonic`` with one (breakpoint, value) pair per run of equal
+    values (a PAV block). ``predict`` reads the value at the last breakpoint
+    at or below the score, so the breakpoints inside a run change no
+    prediction."""
+    fitted = fit_isotonic(scores, labels)
+    run = np.concatenate(([True], np.diff(fitted.values) != 0.0))
+    return IsotonicMap(breakpoints=fitted.breakpoints[run], values=fitted.values[run])
+
+
 _BINARY_FITTERS = {
-    "isotonic": lambda s, y, cfg: fit_isotonic(s, y),
+    "isotonic": lambda s, y, cfg: _isotonic_runs(s, y),
     "width_bin": lambda s, y, cfg: fit_binning(s, y, cfg["bins"], "equal-width"),
     "freq_bin": lambda s, y, cfg: fit_binning(s, y, cfg["bins"], "equal-frequency"),
     "beta": lambda s, y, cfg: fit_beta(s, y, cfg.get("lam", 1e-10)),
@@ -207,7 +217,13 @@ _BINARY_FITTERS = {
 
 
 def fit_ovr(probs, labels, kind: str, **config) -> OneVsRestModel:
-    """Fit one binary calibrator per class on column j vs indicator(y == j)."""
+    """Fit one binary calibrator per class on column j vs indicator(y == j).
+
+    Isotonic maps are kept in run form: one (breakpoint, value) pair per
+    pool-adjacent-violators block, which predicts the same as the
+    per-score map ``fit_isotonic`` returns and is the form model files
+    store.
+    """
     p = as_probability_matrix(probs)
     y = as_label_vector(labels, p.shape[1], p.shape[0])
     if kind not in _BINARY_FITTERS:
@@ -220,15 +236,19 @@ def fit_ovr(probs, labels, kind: str, **config) -> OneVsRestModel:
 def apply_ovr(q, model: OneVsRestModel) -> np.ndarray:
     """Apply the per-class maps coordinate-wise and renormalize.
 
-    If every coordinate maps to zero the row falls back to uniform.
+    Each class column is predicted into one (n, k) output, which is then
+    renormalized in place. If every coordinate maps to zero the row falls
+    back to uniform.
     """
     single = np.asarray(q).ndim == 1
     p = as_probability_matrix(q)
     if p.shape[1] != model.k:
         raise ValueError(f"expected {model.k} classes, got {p.shape[1]}")
-    raw = np.column_stack([model.maps[j].predict(p[:, j]) for j in range(model.k)])
-    totals = raw.sum(axis=1)
-    out = np.full_like(raw, 1.0 / model.k)
+    out = np.empty_like(p)
+    for j, m in enumerate(model.maps):
+        out[:, j] = m.predict(p[:, j])
+    totals = out.sum(axis=1, keepdims=True)
     nonzero = totals > 0.0
-    out[nonzero] = raw[nonzero] / totals[nonzero, None]
+    np.divide(out, totals, out=out, where=nonzero)
+    out[~nonzero[:, 0]] = 1.0 / model.k
     return out[0] if single else out

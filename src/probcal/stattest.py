@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_label_vector, as_probability_matrix
-from .metrics import DEFAULT_BINS, _Binning, _confidence_binning, _correct
+from .metrics import DEFAULT_BINS, _Binning, _checked, _confidence_binning, _correct
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -232,7 +231,7 @@ def _resampled_statistics(n: int, statistic_fn, n_resamples: int, seed: int) -> 
 
 def calibration_test(p, y, statistic: str = "conf_ece", m: int = DEFAULT_BINS,
                      n_resamples: int = 10000, seed: int = 0,
-                     plus_one: bool = False) -> TestResult:
+                     plus_one: bool = False, *, _binning=None) -> TestResult:
     """Resampling test of the hypothesis that predictions are calibrated.
 
     Parameters
@@ -250,17 +249,18 @@ def calibration_test(p, y, statistic: str = "conf_ece", m: int = DEFAULT_BINS,
         When set, report (count + 1) / (N + 1) instead of count / N, which
         never returns an exact zero. Off by default: the plain fraction of
         resamples strictly greater than the observed statistic.
+    _binning : the statistic's binning of ``p`` with ``m`` bins, if already
+        built: the confidence binning or the classwise ``_Binning``.
     """
-    p = as_probability_matrix(p)
-    y = as_label_vector(y, p.shape[1], p.shape[0])
+    p, y = _checked(p, y)
     if n_resamples < 1:
         raise ValueError("n_resamples must be at least 1")
     if statistic == "conf_ece":
-        binning = _confidence_binning(p, m)
+        binning = _confidence_binning(p, m) if _binning is None else _binning
         observed_hits = _correct(p, y)[:, None]
         draw = _argmax_hits(p)
     elif statistic == "cw_ece":
-        binning = _Binning(p, m)
+        binning = _Binning(p, m) if _binning is None else _binning
         observed_hits = y[:, None]
         draw = _pseudo_labels(np.cumsum(p, axis=1))
     else:

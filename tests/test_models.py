@@ -9,9 +9,9 @@ from probcal.models import (
     fit_calibrator,
     model_from_dict,
 )
-from probcal.ovr import IsotonicMap, OneVsRestModel
+from probcal.ovr import IsotonicMap, OneVsRestModel, fit_isotonic
 
-from conftest import random_simplex
+from conftest import peaked_simplex, random_simplex, traced_peak
 from oracles import sample_labels_from_rows
 
 PROB_METHODS = [
@@ -86,6 +86,19 @@ class TestFitCalibrator:
             model.apply(random_simplex(rng, 5, 4))
 
 
+class TestEnsembleApply:
+    def test_running_mean_holds_little_beside_its_output(self):
+        # Three members fitted on thirds of n = 10^4 rows at k = 100.
+        rng = np.random.default_rng(2019)
+        q = peaked_simplex(rng, 10_000, 100)
+        y = sample_labels_from_rows(rng, q)
+        members = [fit_calibrator("ovr_isotonic", q[f::3], y[f::3]) for f in range(3)]
+        out, peak = traced_peak(lambda: EnsembleModel(members).apply(q))
+        assert peak <= 2.5 * out.nbytes
+        mean = np.mean([m.apply(q) for m in members], axis=0)
+        assert out.tobytes() == (mean / mean.sum(axis=1, keepdims=True)).tobytes()
+
+
 class TestSerialization:
     @pytest.mark.parametrize("method,hyper", PROB_METHODS)
     def test_roundtrip_probability_methods(self, prob_data, method, hyper):
@@ -137,13 +150,20 @@ class TestSerialization:
         q, y = tied_data
         model = fit_calibrator("ovr_isotonic", q, y)
         stored = model.to_dict()["params"]["maps"]
-        for fitted, entry in zip(model.params.maps, stored):
-            runs = 1 + np.count_nonzero(np.diff(fitted.values))
+        for j, (fitted, entry) in enumerate(zip(model.params.maps, stored)):
+            # The per-score map of the same class column is the reference.
+            reference = fit_isotonic(q[:, j], (y == j).astype(float))
+            runs = 1 + np.count_nonzero(np.diff(reference.values))
             assert len(entry["breakpoints"]) == len(entry["values"]) == runs
-            assert runs < fitted.breakpoints.size
+            assert runs < reference.breakpoints.size
             assert np.all(np.diff(entry["values"]) > 0.0)
-            assert entry["breakpoints"][0] == fitted.breakpoints[0]
-            assert set(entry["breakpoints"]) <= set(fitted.breakpoints.tolist())
+            assert entry["breakpoints"][0] == reference.breakpoints[0]
+            assert set(entry["breakpoints"]) <= set(reference.breakpoints.tolist())
+            assert fitted.breakpoints.tolist() == entry["breakpoints"]
+            assert fitted.values.tolist() == entry["values"]
+            bp = reference.breakpoints
+            s = np.concatenate([bp, (bp[:-1] + bp[1:]) / 2, [-np.inf, np.inf, np.nan]])
+            assert fitted.predict(s).tobytes() == reference.predict(s).tobytes()
 
     def test_isotonic_per_score_document_still_loads(self):
         # One entry per distinct score, as model files were once written.

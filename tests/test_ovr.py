@@ -16,7 +16,7 @@ from probcal.ovr import (
     fit_ovr,
 )
 
-from conftest import random_simplex
+from conftest import peaked_simplex, random_simplex, traced_peak
 from oracles import brute_isotonic, exact_isotonic, sample_labels_from_rows
 
 
@@ -167,6 +167,17 @@ class TestOneVsRest:
             ),
         )
         np.testing.assert_allclose(apply_ovr(np.array([0.2, 0.3, 0.5]), model), [1 / 3] * 3)
+        # Among rows that keep their mass, too.
+        model = OneVsRestModel(
+            kind="width_bin",
+            maps=tuple(
+                BinningMap(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.4]), "equal-width")
+                for _ in range(3)
+            ),
+        )
+        q = np.array([[0.1, 0.1, 0.8], [0.3, 0.3, 0.4], [0.6, 0.2, 0.2]])
+        np.testing.assert_array_equal(apply_ovr(q, model),
+                                      [[0.0, 0.0, 1.0], [1 / 3] * 3, [1.0, 0.0, 0.0]])
 
     def test_output_on_simplex(self, rng):
         q = random_simplex(rng, 120, 4)
@@ -205,3 +216,29 @@ class TestOneVsRest:
         q = random_simplex(rng, 10, 2)
         with pytest.raises(ValueError):
             fit_ovr(q, np.array([0, 1] * 5), "spline")
+
+
+class TestOneVsRestAtPaperScale:
+    """n = 10^4 rows at k = 100 classes, the CIFAR-100 size of the paper."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        rng = np.random.default_rng(2019)
+        q = peaked_simplex(rng, 10_000, 100)
+        y = sample_labels_from_rows(rng, q)
+        return q, y, fit_ovr(q, y, "isotonic")
+
+    def test_isotonic_maps_hold_one_pair_per_value_run(self, fitted):
+        # A model file stores one pair per run of equal values of the
+        # per-score map.
+        q, y, model = fitted
+        for j, m in enumerate(model.maps):
+            reference = fit_isotonic(q[:, j], (y == j).astype(float))
+            assert m.breakpoints.size <= 1 + np.count_nonzero(np.diff(reference.values))
+
+    def test_apply_holds_little_beside_its_output(self, fitted):
+        q, _, model = fitted
+        out, peak = traced_peak(lambda: apply_ovr(q, model))
+        assert peak <= 1.25 * out.nbytes
+        raw = np.column_stack([m.predict(q[:, j]) for j, m in enumerate(model.maps)])
+        assert out.tobytes() == (raw / raw.sum(axis=1, keepdims=True)).tobytes()

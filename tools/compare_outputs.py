@@ -6,7 +6,8 @@ Runs the CLI of each tree on the same seeded inputs and compares:
   ``compare`` (text, json-lines, csv) and ``inspect`` (text, json-lines),
   byte for byte;
 - one model file per method tag, byte for byte apart from ``created``,
-  and the CSV that ``apply`` writes with it;
+  and the CSV that ``apply`` writes with it, plus ``ovr_isotonic`` and
+  ``uncalibrated`` models and outputs at n = 10^4, k = 100;
 - every p-value, bit for bit (``float.hex``).
 
 Usage, with the other commit checked out elsewhere (by ``git clone``)::
@@ -67,7 +68,8 @@ def sparse_rows(seed, n, k):
 
 def inputs(workdir, seed):
     """Seeded prediction files: probabilities at k = 3, 10, 100 and 300, a
-    k = 100 file with zero columns and one-hot rows, and logits at k = 10.
+    k = 100 file with zero columns and one-hot rows, logits at k = 10, and
+    probabilities at the paper's size, n = 10^4 and k = 100.
     At n = 2000 the k = 100 files take resample blocks below 256. The
     k = 300 file's pseudo-labels pass 255, so its guide table holds two-byte
     counts; the sparse file repeats cumulative sums, so many draws fall in
@@ -79,6 +81,7 @@ def inputs(workdir, seed):
         "p100sparse.csv": (sparse_rows(seed, 2000, 100), "p_"),
         "p300.csv": (datagen.dirichlet_rows(seed, 1000, 300, 2.0), "p_"),
         "z10.csv": (datagen.gaussian_logits(seed, 1000, 10, 0.6), "z_"),
+        "p100n10000.csv": (datagen.dirichlet_rows(seed, 10000, 100, 2.0), "p_"),
     }
     for name, ((X, y), prefix) in cases.items():
         datagen.write_csv(workdir / name, X, y, prefix)
@@ -101,16 +104,18 @@ def jobs(seed):
                     "--resamples", "100", "--seed", str(seed), "--format", fmt]
             out.append((f"compare {data} {fmt}", argv + (["--methods", methods] if methods else []),
                         []))
-    for method in METHODS:
-        data = "z10.csv" if method in LOGIT_METHODS else "p10.csv"
+    cases = [(m, "z10.csv" if m in LOGIT_METHODS else "p10.csv", m) for m in METHODS]
+    # At the paper's size the applies' working arrays are largest.
+    cases += [(m, "p100n10000.csv", f"{m} k100") for m in ("ovr_isotonic", "uncalibrated")]
+    for method, data, label in cases:
         for folds in ("1", "3"):
-            model = f"{method}-{folds}.json"
-            out.append((f"fit {method} folds {folds}",
+            stem = f"{label.replace(' ', '-')}-{folds}"
+            model = f"{stem}.json"
+            out.append((f"fit {label} folds {folds}",
                         ["fit", data, "--method", method, "--folds", folds, "--seed", str(seed),
                          "-o", model], [model]))
-            out.append((f"apply {method} folds {folds}",
-                        ["apply", model, data, "-o", f"{method}-{folds}.out.csv"],
-                        [f"{method}-{folds}.out.csv"]))
+            out.append((f"apply {label} folds {folds}",
+                        ["apply", model, data, "-o", f"{stem}.out.csv"], [f"{stem}.out.csv"]))
             if method in ("dirichlet_l2", "dirichlet_odir", "temperature"):
                 for fmt in ("text", "json-lines"):
                     out.append((f"inspect {method} folds {folds} {fmt}",
