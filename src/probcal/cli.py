@@ -305,8 +305,9 @@ def _plain(value):
 # Hyperparameter flags
 # ---------------------------------------------------------------------------
 
-def _parse_grid(spec, decouple_mu):
-    """Parse --grid: 'default' or 'name=v1,v2[;name=v1,v2]' with names lambda/mu/bins."""
+def _parse_grid(spec, decouple_mu, method=None):
+    """Parse --grid: 'default' or 'name=v1,v2[;name=v1,v2]' with names lambda/mu/bins,
+    each of which ``method``, if given, must search."""
     if spec == "default":
         return HyperGrid(mus=LAMBDA_GRID if decouple_mu else ())
     fields = {}
@@ -328,6 +329,11 @@ def _parse_grid(spec, decouple_mu):
             raise ValueError(f"unknown --grid name {name!r}")
     if not fields:
         raise ValueError(f"empty --grid specification {spec!r}")
+    searched = method_spec(method).defaults if method else ("lam", "mu", "bins")
+    for field, name, word in (("lambdas", "lam", "lambda"), ("mus", "mu", "mu"),
+                              ("bins", "bins", "bin count")):
+        if field in fields and name not in searched:
+            raise ValueError(f"method {method} takes no {word} in --grid")
     if decouple_mu and "mus" not in fields:
         fields["mus"] = fields.get("lambdas", LAMBDA_GRID)
     return HyperGrid(**fields)
@@ -378,7 +384,7 @@ def _read_labelled(args):
 
 def cmd_fit(args) -> int:
     X, _, y, names = _read_labelled(args)
-    grid = _parse_grid(args.grid, args.decouple_mu) if args.grid else None
+    grid = _parse_grid(args.grid, args.decouple_mu, args.method) if args.grid else None
     fixed = _fixed_hyper(args)
     model, best_hyper, _ = cross_val_fit(
         args.method, X, y, args.folds, seed=args.seed, grid=grid,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ROW_SUM_TOL, as_label_vector, log_transform, softmax
-from .optim import DENSE_NEWTON_MAX_DIM, minimize, warn_unconverged
+from .optim import minimize, warn_unconverged
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +229,16 @@ def to_generative(params: CanonicalParams) -> GenerativeParams:
 # Fitting: penalized multinomial logistic regression on log-probabilities
 # ---------------------------------------------------------------------------
 
+#: Parameter count up to which ``fit_multinomial`` passes a dense Hessian
+#: (dense Newton) and above which a Hessian operator (Newton-CG). The
+#: dense Hessian of d parameters costs O(n d^2 + d^3) per step, an operator
+#: product O(n d). Measured crossover with full W (ODIR fits, one BLAS
+#: thread, medians of 7 alternating fits), dense vs CG: at n = 3333, 78 vs
+#: 89 ms for k = 15 (240 parameters), 80 vs 58 ms for k = 16 (272) and 88 vs
+#: 65 ms for k = 17 (306); at n = 10^4, 189 vs 242, 229 vs 183 and 280 vs
+#: 257 ms.
+DENSE_NEWTON_MAX_DIM = 240
+
 def _penalty_matrix(reg, k: int):
     """Per-entry quadratic penalty weights of [W | b], shape (k, k+1)."""
     if isinstance(reg, L2Config):
@@ -307,38 +317,36 @@ def _flush_to(P, dtype):
 
 
 class _HessianOperator:
-    """The Hessian of ``_value_grad`` at theta, applied as products.
+    """The Hessian of ``_value_grad`` with every entry of [W | b] free,
+    applied as products: one operator serves the Newton-CG steps of a fit.
 
     Everything is class-major, like ``_value_grad``: ``XT`` is the (k+1, n)
-    feature matrix and P = softmax(M XT) the (k, n) probabilities.
-    ``matvec(v)`` is H v = (R XT' / n)[free] + 2 pen * v with U = V XT and
-    R = P*U - P*colsum(P*U), where V unpacks v into a (k, k+1) matrix:
-    O(n k^2) per product, where the dense ``_hessian`` costs O(n k^4).
-    ``precondition`` applies the inverse of the Hessian's block diagonal
-    (block-Jacobi): block a couples the free entries of row a of [W | b],
-    which are contiguous in theta, and equals G_a diag(P_a (1 - P_a)) G_a' / n
-    plus their penalty, where G_a holds the rows of XT they multiply.
+    feature matrix and P = softmax(M XT) the (k, n) probabilities at the
+    point set by ``at(theta)``. ``matvec(v)`` is H v = vec(R XT' / n) +
+    2 pen * v with U = V XT and R = P*U - P*colsum(P*U), where V is v as a
+    (k, k+1) matrix: O(n k^2) per product, where the dense ``_hessian``
+    costs O(n k^4). ``precondition`` applies the inverse of the Hessian's
+    block diagonal (block-Jacobi): block a couples row a of [W | b], which
+    is contiguous in theta, and equals XT diag(P_a (1 - P_a)) XT' / n plus
+    its penalty.
 
-    One operator serves one CG solve and counts its products in
-    ``products``. Building the blocks costs O(n k^3), as much as k or so
-    products, so an operator given the ``previous`` Newton step's operator
-    reuses its block inverse, built at an earlier theta. Any fixed positive
-    definite preconditioner leaves CG solving the true H d = -g, so only
-    the product count can grow; the blocks are rebuilt once the last solve
-    took more than ``REBUILD_RATIO`` times the products of the first solve
-    after they were built.
+    ``products`` counts the products of the current CG solve. Building the
+    blocks costs O(n k^3), as much as k or so products, so ``at`` keeps the
+    block inverse, built at an earlier theta. Any fixed positive definite
+    preconditioner leaves CG solving the true H d = -g, so only the product
+    count can grow; ``at`` rebuilds the blocks once the last solve took more
+    than ``REBUILD_RATIO`` times the products of the first solve after they
+    were built.
 
-    Precision: P is computed in float64 from the float64 features ``XT``.
-    The products and the block builds run in the dtype of ``features``:
-    ``XT`` itself by default (the float64 reference operator), or the
-    float32 copy that ``fit_multinomial`` casts once per fit. In float32:
+    Precision: P is float64, from the float64 ``XT``; the products and the
+    block builds run in ``dtype``, on ``XT`` cast once. In float32:
 
-    - P is cast once per operator, and entries below the square root of
-      float32's smallest normal number (1.1e-19) are flushed to 0.
-      Saturated softmax rows hold many tiny entries, and their products
-      went subnormal. With a flush at the smallest normal number, the
-      products of a k = 50 fit took 5.3 s against 1.3 s in float64; with
-      v scaled as below, still 1.1-1.2 s against 0.8-0.9 s at 1.1e-19.
+    - P is cast once per point, and entries below the square root of
+      float32's smallest normal number (1.1e-19) are flushed to 0: the
+      products of saturated rows went subnormal, and with a flush at the
+      smallest normal number those of a k = 50 fit took 5.3 s against
+      1.3 s in float64 (1.1-1.2 s against 0.8-0.9 s at 1.1e-19 once v
+      was scaled as below).
     - V XT, P*U, the column sums, R XT' and S S' are float32. Each product
       runs on v / max|v| and takes each instance's entry at its most
       probable class off U (see ``matvec``), which keeps rounding relative
@@ -347,47 +355,45 @@ class _HessianOperator:
       the block inverse are float64, and ``matvec`` returns float64.
 
     A float32 product is within about 1e-7 of the exact one, relative to
-    its largest entry; the CG solve it serves only has to reach the
-    forcing term of ``optim._cg_direction``, and the gradient and the
-    stopping rule stay float64.
+    its largest entry, and the CG solve it serves only has to reach the
+    forcing term of ``optim._cg_direction``.
     """
 
     #: Growth of the CG product count, against the first solve after a
-    #: build, past which the next operator builds fresh blocks.
+    #: build, past which ``at`` builds fresh blocks.
     REBUILD_RATIO = 2
 
-    def __init__(self, theta, XT, pen, free, previous=None, features=None):
-        self.XT = XT if features is None else features
-        self.free = free
-        probs = softmax(_unpack(theta, free) @ XT, axis=0)
+    def __init__(self, XT, pen, dtype=np.float64):
+        self._scores_XT, self.XT = XT, XT.astype(dtype, copy=False)
+        self.pen = 2.0 * pen.ravel()
+        # The product count past which ``at`` rebuilds the blocks: -1 builds
+        # them at the first point, and None waits for the first solve.
+        self.products, self.limit = 0, -1
+
+    def at(self, theta):
+        """The operator at theta, its blocks rebuilt if the last solve ran long."""
+        k, n = self.XT.shape[0] - 1, self.XT.shape[1]
+        probs = softmax(theta.reshape(k, k + 1) @ self._scores_XT, axis=0)
         # Flat index of each instance's most probable class, for ``matvec``.
-        n = probs.shape[1]
         self.top = probs.argmax(axis=0) * n + np.arange(n)
         self.probs = _flush_to(probs, self.XT.dtype)
-        self.pen = 2.0 * pen[free]
-        self.products = 0
-        if previous is None or previous.products > self.REBUILD_RATIO * previous.baseline:
+        if self.limit is None:
+            self.limit = self.REBUILD_RATIO * self.products
+        if self.products > self.limit:
             self._build()
-            self._baseline = None
-        else:
-            self.blocks, self._inverse = previous.blocks, previous._inverse
-            self._baseline = previous.baseline
-
-    @property
-    def baseline(self):
-        """CG products of the first solve after the blocks were built."""
-        return self.products if self._baseline is None else self._baseline
+            self.limit = None
+        self.products = 0
+        return self
 
     def _build(self):
         k, n = self.probs.shape
-        # G_a diag(w) G_a' is formed as S S' with S = G_a diag(sqrt(w)), a
+        # XT diag(w) XT' is formed as S S' with S = XT diag(sqrt(w)), a
         # symmetric BLAS product; the 1/n of w is applied to S S'.
         root_weights = np.sqrt(self.probs * (1.0 - self.probs))
-        width = self.pen.size // k
+        width = k + 1
         self.blocks = np.empty((k, width, width))
         for a in range(k):
-            G_a = self.XT if self.free[a].all() else self.XT[self.free[a]]
-            S = G_a * root_weights[a]
+            S = self.XT * root_weights[a]
             self.blocks[a] = S @ S.T
         self.blocks /= n
         self.blocks[:, np.arange(width), np.arange(width)] += self.pen.reshape(k, width)
@@ -408,7 +414,7 @@ class _HessianOperator:
         # H is linear: the product runs on v / max|v|, so that U keeps the
         # scale of XT however short v is, and the scale returns in float64.
         scale = float(np.max(np.abs(v), initial=0.0)) or 1.0
-        U = (_unpack(v, self.free) / scale).astype(self.XT.dtype) @ self.XT
+        U = (v.reshape(self.probs.shape[0], -1) / scale).astype(self.XT.dtype) @ self.XT
         # R is unchanged by a constant added to a column of U, since the
         # columns of P sum to 1. Taking each instance's entry at its most
         # probable class off turns R's difference of two near-equal terms in
@@ -417,7 +423,7 @@ class _HessianOperator:
         U -= U.ravel()[self.top]
         PU = self.probs * U
         R = PU - self.probs * PU.sum(axis=0)
-        product = (R @ self.XT.T)[self.free].astype(float)
+        product = (R @ self.XT.T).ravel().astype(float)
         return product * (scale / self.XT.shape[1]) + self.pen * v
 
     def precondition(self, r):
@@ -478,23 +484,19 @@ def fit_multinomial(feats, labels, reg, diagonal: bool = False,
     up to one vector added to every row; b returns with sum 0, W with
     column sums 0.
 
-    Newton steps use the dense Hessian up to ``DENSE_NEWTON_MAX_DIM``
-    parameters and the Hessian operator (Newton-CG) above it, whose
-    block-Jacobi preconditioner is carried from step to step and rebuilt
-    when the CG solves grow long (see ``_HessianOperator``). Diagonal W
-    always uses the dense Hessian: an operator product costs O(n k^2) for
-    either structure, as much as the whole dense Hessian of 2k parameters.
+    Newton steps use the float64 dense Hessian up to ``DENSE_NEWTON_MAX_DIM``
+    parameters, and above it one ``_HessianOperator`` for the whole fit
+    (Newton-CG), which sees a full W only: diagonal W always uses the dense
+    Hessian, since an operator product costs O(n k^2) for either structure,
+    as much as the whole dense Hessian of 2k parameters. The operator's
+    products and block builds run in float32; the objective, the gradient,
+    the stopping rule, the line search and the CG recurrences stay float64,
+    so float32 changes only how closely each Newton step is solved.
 
     The core is class-major (see ``_prepare``): one float64 (k+1, n) copy
     of the features [x, 1], scores M XT of shape (k, n) reduced over axis
     0, and the labels as an index vector; at small k this is several times
-    faster than reducing along the short rows of (n, k) arrays. The
-    operator's products and block builds run in float32, on a float32 copy
-    of XT cast once per fit; the objective, the gradient, the stopping
-    rule, the line search and the CG recurrences stay float64, so float32
-    changes only how closely each Newton step is solved. Dense Newton
-    steps, at or below ``DENSE_NEWTON_MAX_DIM`` parameters and for
-    diagonal W, are float64 throughout.
+    faster than reducing along the short rows of (n, k) arrays.
     """
     XT, y = _prepare(feats, labels)
     k, n = XT.shape[0] - 1, y.size
@@ -506,17 +508,11 @@ def fit_multinomial(feats, labels, reg, diagonal: bool = False,
     free = _free_mask(k, diagonal)
     M0 = np.eye(k, k + 1) if _start is None else np.column_stack([_start.W, _start.b])
     theta0 = M0[free]
-    dense = diagonal or theta0.size <= DENSE_NEWTON_MAX_DIM
-    features = None if dense else XT.astype(np.float32)
-    operator = None
-
-    def hess(t):
-        nonlocal operator
-        if dense:
+    if diagonal or theta0.size <= DENSE_NEWTON_MAX_DIM:
+        def hess(t):
             return _hessian(t, XT, pen, free)
-        operator = _HessianOperator(t, XT, pen, free, operator, features)
-        return operator
-
+    else:
+        hess = _HessianOperator(XT, pen, dtype=np.float32).at
     result = minimize(
         lambda t: _value_grad(t, XT, y, pen, free),
         theta0,

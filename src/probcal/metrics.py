@@ -25,9 +25,10 @@ def _bin_edges(m: int) -> np.ndarray:
 
 
 def _bin_index(x: np.ndarray, m: int) -> np.ndarray:
-    """Equal-width bin of each value; the last bin includes 1.0."""
-    idx = np.digitize(x, _bin_edges(m)) - 1
-    return np.clip(idx, 0, m - 1)
+    """Equal-width bin of each value, the last bin including 1.0, in place
+    in the one index array ``digitize`` returns."""
+    idx = np.digitize(x, _bin_edges(m))
+    return np.clip(np.subtract(idx, 1, out=idx), 0, m - 1, out=idx)
 
 
 @dataclass

@@ -8,10 +8,9 @@ singular) or as an operator (solved by truncated preconditioned conjugate
 gradients, Nocedal & Wright ch. 7), and gradient steps otherwise.
 Everything here is float64: the value, the gradient and its infinity-norm
 stopping rule, the line search, and the CG recurrences and forcing term.
-An operator may compute its products in lower precision (the multinomial
-fits use float32 ones above ``DENSE_NEWTON_MAX_DIM``); that changes only
-how closely CG solves a Newton step, which is an approximate solve anyway
-(inexact Newton, Dembo, Eisenstat & Steihaug 1982).
+An operator may compute its products in lower precision; that changes
+only how closely CG solves a Newton step, which is an approximate solve
+anyway (inexact Newton, Dembo, Eisenstat & Steihaug 1982).
 It is free of randomness, so repeated runs on identical inputs produce
 bit-identical results.
 """
@@ -26,16 +25,6 @@ import numpy as np
 ARMIJO_C = 1e-4
 #: Backtracking shrink factor for the line search.
 BACKTRACK = 0.5
-#: Parameter count up to which the multinomial fits pass a dense Hessian
-#: (dense Newton) and above which a Hessian operator (Newton-CG). The
-#: dense Hessian of d parameters costs O(n d^2 + d^3) per step, an operator
-#: product O(n d). Measured crossover with full W (ODIR fits, one BLAS
-#: thread, medians of 7 alternating fits), dense vs CG: at n = 3333, 78 vs
-#: 89 ms for k = 15 (240 parameters), 80 vs 58 ms for k = 16 (272) and 88 vs
-#: 65 ms for k = 17 (306); at n = 10^4, 189 vs 242, 229 vs 183 and 280 vs
-#: 257 ms.
-DENSE_NEWTON_MAX_DIM = 240
-
 _MAX_BACKTRACKS = 60
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_CLIP_FLOOR, as_label_vector, as_probability_matrix, clip_probabilities
-from .dirichlet import L2Config, fit as _fit_dirichlet
+from .dirichlet import L2Config, fit_multinomial
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,18 @@ class BetaParams:
             raise ValueError("beta parameters must be finite")
 
     def predict(self, scores, floor: float = DEFAULT_CLIP_FLOOR) -> np.ndarray:
+        """The two-class Dirichlet map on the features of the fit, scores in [0, 1]."""
         s = np.asarray(scores, dtype=float)
-        s = np.clip(s, floor, 1.0 - 1e-16)
-        u = self.a * np.log(s) - self.b * np.log1p(-s) + self.c
-        return 1.0 / (1.0 + np.exp(-u))
+        x = _beta_features(s, floor)
+        u = self.a * x[:, 1] - self.b * x[:, 0] + self.c
+        with np.errstate(over="ignore"):  # exp(-u) = inf: a probability below 1e-308
+            return (1.0 / (1.0 + np.exp(-u))).reshape(s.shape)
+
+
+def _beta_features(scores, floor):
+    """ln of the clipped rows (1 - s, s): a beta map's features, fitted and applied."""
+    s = np.ravel(scores)
+    return np.log(clip_probabilities(np.column_stack([1.0 - s, s]), floor))
 
 
 @dataclass(frozen=True)
@@ -187,8 +195,7 @@ def fit_beta(scores, labels, lam: float = 1e-10,
     s, y = _binary_inputs(scores, labels)
     if np.unique(y).size < 2:
         raise ValueError("labels contain a single class; nothing to fit")
-    rows = clip_probabilities(np.column_stack([1.0 - s, s]), floor)
-    linear = _fit_dirichlet(rows, y.astype(np.int64), L2Config(lam))
+    linear = fit_multinomial(_beta_features(s, floor), y.astype(np.int64), L2Config(lam))
     W, b = linear.W, linear.b
     # Positive-class score difference: s1 - s0 = a ln s - b ln(1-s) + c.
     return BetaParams(

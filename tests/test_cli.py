@@ -468,6 +468,7 @@ class TestHyperparameterFlags:
         (" ; ", "empty --grid specification"),
         ("lambda=a", "could not convert string to float"),
         ("bins=1.5", "invalid literal for int()"),
+        ("bins=5", "method dirichlet_l2 takes no bin count in --grid"),
     ])
     def test_malformed_grid(self, tmp_path, prob_file, capsys, spec, message):
         rc, _ = self._fit(tmp_path, prob_file[0], "dirichlet_l2", "--grid", spec, "--folds", "2")

@@ -317,30 +317,28 @@ class TestFit:
         assert np.max(np.abs(fd - H)) / max(1.0, np.max(np.abs(H))) < 1e-5
 
     @staticmethod
-    def _dense_and_operator(rng, reg, diagonal, k=4, n=50, dtype=np.float64):
+    def _dense_and_operator(rng, reg, k=4, n=50, dtype=np.float64):
         from probcal.dirichlet import _free_mask, _hessian, _HessianOperator, _penalty_matrix
 
         XT = np.vstack([rng.normal(size=(k, n)), np.ones(n)])
-        free = _free_mask(k, diagonal)
-        theta = rng.normal(scale=0.5, size=np.count_nonzero(free))
-        args = (theta, XT, _penalty_matrix(reg, k), free)
-        op = _HessianOperator(*args) if dtype == np.float64 else \
-            _HessianOperator(*args, None, XT.astype(dtype))
-        return _hessian(*args), op
+        pen = _penalty_matrix(reg, k)
+        theta = rng.normal(scale=0.5, size=k * (k + 1))
+        op = _HessianOperator(XT, pen, dtype=dtype).at(theta)
+        return _hessian(theta, XT, pen, _free_mask(k, False)), op
 
-    @pytest.mark.parametrize("reg", [L2Config(0.1), OdirConfig(0.3, 0.2)], ids=["l2", "odir"])
-    @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
-    def test_hessian_operator_matches_dense(self, rng, reg, diagonal):
-        H, op = self._dense_and_operator(rng, reg, diagonal)
+    @pytest.mark.parametrize("reg", [L2Config(0.1), OdirConfig(0.3, 0.2)],
+                             ids=["full-l2", "full-odir"])
+    def test_hessian_operator_matches_dense(self, rng, reg):
+        H, op = self._dense_and_operator(rng, reg)
         for _ in range(5):
             v = rng.normal(size=H.shape[0])
             want = H @ v
             assert np.max(np.abs(op.matvec(v) - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("reg", [L2Config(0.1), OdirConfig(0.3, 0.2)], ids=["l2", "odir"])
-    @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
-    def test_preconditioner_blocks_are_dense_class_blocks(self, rng, reg, diagonal):
-        H, op = self._dense_and_operator(rng, reg, diagonal)
+    @pytest.mark.parametrize("reg", [L2Config(0.1), OdirConfig(0.3, 0.2)],
+                             ids=["full-l2", "full-odir"])
+    def test_preconditioner_blocks_are_dense_class_blocks(self, rng, reg):
+        H, op = self._dense_and_operator(rng, reg)
         k = op.blocks.shape[0]
         # Class a's parameters are the a-th run of theta, and every parameter
         # sits in exactly one class block.
@@ -357,10 +355,10 @@ class TestFit:
 
     # The float32 operator of Newton-CG fits, against the float64 dense
     # Hessian. Its products and blocks are within about 1e-7 of it.
-    @pytest.mark.parametrize("reg", [L2Config(0.1), OdirConfig(0.3, 0.2)], ids=["l2", "odir"])
-    @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
-    def test_float32_operator_matches_dense(self, rng, reg, diagonal):
-        H, op = self._dense_and_operator(rng, reg, diagonal, dtype=np.float32)
+    @pytest.mark.parametrize("reg", [L2Config(0.1), OdirConfig(0.3, 0.2)],
+                             ids=["full-l2", "full-odir"])
+    def test_float32_operator_matches_dense(self, rng, reg):
+        H, op = self._dense_and_operator(rng, reg, dtype=np.float32)
         assert op.XT.dtype == op.probs.dtype == np.float32
         for _ in range(5):
             v = rng.normal(size=H.shape[0])
@@ -379,20 +377,20 @@ class TestFit:
         # times the identity: softmax then gives probabilities far below
         # float32's smallest normal number, which a plain cast makes subnormal.
         from probcal.dirichlet import (_free_mask, _hessian, _HessianOperator, _penalty_matrix,
-                                       _prepare, _unpack)
+                                       _prepare)
 
         k, n = 6, 80
         q = random_simplex(rng, n, k) ** 8
         q[np.arange(n), rng.integers(0, k, size=n)] += 1.0
         XT, _ = _prepare(np.log(clip_probabilities(q / q.sum(axis=1, keepdims=True), 1e-60)),
                          np.zeros(n, dtype=int))
-        free = _free_mask(k, False)
-        theta = (np.eye(k, k + 1) * 3.0 + rng.normal(scale=0.1, size=(k, k + 1)))[free]
-        args = (theta, XT, _penalty_matrix(OdirConfig(1e-3, 1e-3), k), free)
+        M = np.eye(k, k + 1) * 3.0 + rng.normal(scale=0.1, size=(k, k + 1))
+        theta, pen = M.ravel(), _penalty_matrix(OdirConfig(1e-3, 1e-3), k)
         tiny = np.finfo(np.float32).tiny
-        cast = softmax(_unpack(theta, free) @ XT, axis=0).astype(np.float32)
+        cast = softmax(M @ XT, axis=0).astype(np.float32)
         assert np.count_nonzero((cast > 0.0) & (cast < tiny)) > 0
-        H, op = _hessian(*args), _HessianOperator(*args, None, XT.astype(np.float32))
+        H = _hessian(theta, XT, pen, _free_mask(k, False))
+        op = _HessianOperator(XT, pen, dtype=np.float32).at(theta)
         assert op.probs.dtype == np.float32
         assert not np.any((op.probs > 0.0) & (op.probs < tiny))
         for _ in range(5):
@@ -403,7 +401,7 @@ class TestFit:
     def test_fit_past_dense_newton_limit_converges(self, rng):
         # k = 50 has 2550 parameters, where gradient steps once stalled near
         # a gradient norm of 1e-2; Newton-CG must reach tol without warning.
-        from probcal.optim import DENSE_NEWTON_MAX_DIM
+        from probcal.dirichlet import DENSE_NEWTON_MAX_DIM
 
         k = 50
         assert k * k + k > DENSE_NEWTON_MAX_DIM
@@ -417,57 +415,62 @@ class TestFit:
         assert np.max(np.abs(grad)) <= 1e-8
 
     def test_newton_cg_reuses_preconditioner_across_steps(self, rng, monkeypatch):
-        # The k = 50 data of the test above. Each Newton step makes one
-        # operator; it builds its blocks only when the last CG solve ran long.
+        # The k = 50 data of the test above. One operator serves the fit; it
+        # is moved to each Newton step's point by ``at``, which builds its
+        # blocks only when the last CG solve ran long.
         from probcal import dirichlet
 
         k = 50
         q = random_simplex(rng, 1000, k, concentration=0.5)
         y = sample_labels_from_rows(rng, q)
         reg = OdirConfig(1e-3, 1e-3)
-        steps, builds = [], []
+        made, steps, builds = [], [], []
 
         class CountingOperator(dirichlet._HessianOperator):
-            def __init__(self, *args):
+            def __init__(self, *args, **kwargs):
+                made.append(1)
+                super().__init__(*args, **kwargs)
+
+            def at(self, theta):
                 steps.append(1)
-                super().__init__(*args)
+                return super().at(theta)
 
             def _build(self):
                 builds.append(1)
                 super()._build()
 
-        class RebuildingOperator(CountingOperator):
-            def __init__(self, theta, XT, pen, free, previous=None, features=None):
-                super().__init__(theta, XT, pen, free, None, features)
-
         monkeypatch.setattr(dirichlet, "_HessianOperator", CountingOperator)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             fitted = fit(q, y, reg, tol=1e-8)
+        assert len(made) == 1
         assert 0 < len(builds) < len(steps)
         _, grad = objective_and_gradient(fitted, q, y, reg)
         assert np.max(np.abs(grad)) <= 1e-8
 
+        made.clear()
         steps.clear()
         builds.clear()
-        monkeypatch.setattr(dirichlet, "_HessianOperator", RebuildingOperator)
+        monkeypatch.setattr(CountingOperator, "REBUILD_RATIO", 0)
         rebuilt = fit(q, y, reg, tol=1e-8)
+        assert len(made) == 1
         assert len(builds) == len(steps) > 0
         assert np.max(np.abs(apply_linear(q, fitted) - apply_linear(q, rebuilt))) <= 1e-6
 
     def test_fit_at_k16_takes_newton_cg_and_converges(self, rng, monkeypatch):
         # k = 16 (272 parameters) is the first full-W size past the dense limit.
         from probcal import dirichlet
-        from probcal.optim import DENSE_NEWTON_MAX_DIM
+        from probcal.dirichlet import DENSE_NEWTON_MAX_DIM
 
         k = 16
         assert k * k + k > DENSE_NEWTON_MAX_DIM >= (k - 1) ** 2 + (k - 1)
         built = []
 
         class CountingOperator(dirichlet._HessianOperator):
-            def __init__(self, *args):
-                super().__init__(*args)
+            def at(self, theta):
+                super().at(theta)
                 built.append((self.XT.dtype, self.probs.dtype))
+                return self
 
         monkeypatch.setattr(dirichlet, "_HessianOperator", CountingOperator)
         q = random_simplex(rng, 1500, k, concentration=0.5)

@@ -20,7 +20,7 @@ from probcal.metrics import (
 from probcal.scaling import apply_temperature
 from probcal.core import softmax
 
-from conftest import random_simplex
+from conftest import peaked_simplex, random_simplex, traced_peak
 from oracles import brute_classwise_ece, brute_confidence_ece, sample_labels_from_rows
 
 FOUR_ROWS = np.array([[0.2, 0.8], [0.4, 0.6], [0.9, 0.1], [0.7, 0.3]])
@@ -161,6 +161,19 @@ class TestHitCounts:
             want = np.bincount(binning.keys[mask[:, r], 0], minlength=15)
             np.testing.assert_array_equal(counts[r, 0], want)
         assert counts[:, 0, :7].sum() == counts[:, 0, 12:].sum() == 0
+
+    def test_keys_are_built_in_one_index_array(self, rng):
+        # At n = 10^4, k = 100 the int32 keys take 4 MB; building them holds
+        # the int64 bin index of every prediction once, not twice.
+        from probcal.metrics import _Binning, _bin_edges
+
+        q = peaked_simplex(rng, 10_000, 100)
+        binning, peak = traced_peak(lambda: _Binning(q, 15))
+        assert peak <= 3.25 * binning.keys.nbytes
+        want = np.clip(np.digitize(q, _bin_edges(15)) - 1, 0, 14) + 15 * np.arange(100)
+        np.testing.assert_array_equal(binning.keys, want)
+        np.testing.assert_array_equal(binning.counts.ravel(),
+                                      np.bincount(want.ravel(), minlength=1500))
 
 
 class TestProperLosses:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from probcal.optim import DENSE_NEWTON_MAX_DIM, OptimizationError, _cg_direction, minimize
+from probcal.dirichlet import DENSE_NEWTON_MAX_DIM
+from probcal.optim import OptimizationError, _cg_direction, minimize
 
 
 def quadratic_1d(x):

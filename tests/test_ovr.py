@@ -131,13 +131,17 @@ class TestBeta:
             fit_beta([0.2, 0.6], [1, 1])
 
     def test_matches_two_class_dirichlet(self, rng):
+        # Scores of exactly 0 and 1 are clipped rows of the two-class fit, with
+        # a feature of ln(2.2e-308) = -708; predict must see the same features.
+        # Their labels are drawn from interior scores, so both classes occur.
         scores = rng.uniform(0.05, 0.95, size=400)
         labels = (rng.random(400) < scores ** 1.4).astype(float)
+        scores[:20], scores[20:40] = 0.0, 1.0
         beta = fit_beta(scores, labels, lam=1e-10)
         rows = np.column_stack([1.0 - scores, scores])
         lin = fit_dirichlet(clip_probabilities(rows), labels.astype(int), L2Config(1e-10))
-        grid = np.linspace(0.01, 0.99, 99)
-        grid_rows = np.column_stack([1.0 - grid, grid])
+        grid = np.concatenate([[0.0], np.linspace(0.01, 0.99, 99), [1.0]])
+        grid_rows = clip_probabilities(np.column_stack([1.0 - grid, grid]))
         np.testing.assert_allclose(
             beta.predict(grid), apply_linear(grid_rows, lin)[:, 1], atol=1e-6
         )

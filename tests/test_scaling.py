@@ -226,7 +226,7 @@ class TestFitAffineLogit:
         # Rows of centred logits sum to zero, so the features [z, 1] of each
         # class are collinear and every block of the Newton-CG
         # preconditioner is singular; the fit must still converge quickly.
-        from probcal.optim import DENSE_NEWTON_MAX_DIM
+        from probcal.dirichlet import DENSE_NEWTON_MAX_DIM
 
         k = 20
         assert k * k + k > DENSE_NEWTON_MAX_DIM

@@ -7,7 +7,9 @@ Runs the CLI of each tree on the same seeded inputs and compares:
   byte for byte;
 - one model file per method tag, byte for byte apart from ``created``,
   and the CSV that ``apply`` writes with it, plus ``ovr_isotonic`` and
-  ``uncalibrated`` models and outputs at n = 10^4, k = 100;
+  ``uncalibrated`` models and outputs at n = 10^4, k = 100, and Newton-CG
+  fits (``dirichlet_l2`` and ``dirichlet_odir`` at k = 30, ``matrix_odir``
+  at k = 20), each once and by a 3-fold two-point lambda grid;
 - every p-value, bit for bit (``float.hex``).
 
 Usage, with the other commit checked out elsewhere (by ``git clone``)::
@@ -67,9 +69,9 @@ def sparse_rows(seed, n, k):
 
 
 def inputs(workdir, seed):
-    """Seeded prediction files: probabilities at k = 3, 10, 100 and 300, a
-    k = 100 file with zero columns and one-hot rows, logits at k = 10, and
-    probabilities at the paper's size, n = 10^4 and k = 100.
+    """Seeded prediction files: probabilities at k = 3, 10, 30, 100 and 300,
+    a k = 100 file with zero columns and one-hot rows, logits at k = 10 and
+    20, and probabilities at the paper's size, n = 10^4 and k = 100.
     At n = 2000 the k = 100 files take resample blocks below 256. The
     k = 300 file's pseudo-labels pass 255, so its guide table holds two-byte
     counts; the sparse file repeats cumulative sums, so many draws fall in
@@ -77,10 +79,12 @@ def inputs(workdir, seed):
     cases = {
         "p3.csv": (datagen.dirichlet_rows(seed, 600, 3, 2.0), "p_"),
         "p10.csv": (datagen.dirichlet_rows(seed, 1000, 10, 2.0), "p_"),
+        "p30.csv": (datagen.dirichlet_rows(seed, 1500, 30, 2.0), "p_"),
         "p100.csv": (datagen.dirichlet_rows(seed, 2000, 100, 2.0), "p_"),
         "p100sparse.csv": (sparse_rows(seed, 2000, 100), "p_"),
         "p300.csv": (datagen.dirichlet_rows(seed, 1000, 300, 2.0), "p_"),
         "z10.csv": (datagen.gaussian_logits(seed, 1000, 10, 0.6), "z_"),
+        "z20.csv": (datagen.gaussian_logits(seed, 1500, 20, 0.6), "z_"),
         "p100n10000.csv": (datagen.dirichlet_rows(seed, 10000, 100, 2.0), "p_"),
     }
     for name, ((X, y), prefix) in cases.items():
@@ -104,21 +108,26 @@ def jobs(seed):
                     "--resamples", "100", "--seed", str(seed), "--format", fmt]
             out.append((f"compare {data} {fmt}", argv + (["--methods", methods] if methods else []),
                         []))
-    cases = [(m, "z10.csv" if m in LOGIT_METHODS else "p10.csv", m) for m in METHODS]
+    cases = [(m, "z10.csv" if m in LOGIT_METHODS else "p10.csv", m, []) for m in METHODS]
     # At the paper's size the applies' working arrays are largest.
-    cases += [(m, "p100n10000.csv", f"{m} k100") for m in ("ovr_isotonic", "uncalibrated")]
-    for method, data, label in cases:
+    cases += [(m, "p100n10000.csv", f"{m} k100", []) for m in ("ovr_isotonic", "uncalibrated")]
+    # Past the dense-Newton limit of 240 parameters (930 at k = 30, 420 at
+    # k = 20 with full W), every Newton step is solved by CG.
+    lambdas = ["--grid", "lambda=1e-3,1e-1"]
+    cases += [(m, "p30.csv", f"{m} k30", lambdas) for m in ("dirichlet_l2", "dirichlet_odir")]
+    cases += [("matrix_odir", "z20.csv", "matrix_odir k20", lambdas)]
+    for method, data, label, grid in cases:
         for folds in ("1", "3"):
             stem = f"{label.replace(' ', '-')}-{folds}"
             model = f"{stem}.json"
             out.append((f"fit {label} folds {folds}",
                         ["fit", data, "--method", method, "--folds", folds, "--seed", str(seed),
-                         "-o", model], [model]))
+                         "-o", model] + (grid if folds == "3" else []), [model]))
             out.append((f"apply {label} folds {folds}",
                         ["apply", model, data, "-o", f"{stem}.out.csv"], [f"{stem}.out.csv"]))
             if method in ("dirichlet_l2", "dirichlet_odir", "temperature"):
                 for fmt in ("text", "json-lines"):
-                    out.append((f"inspect {method} folds {folds} {fmt}",
+                    out.append((f"inspect {label} folds {folds} {fmt}",
                                 ["inspect", model, "--format", fmt], []))
     return out
 
