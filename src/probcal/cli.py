@@ -307,11 +307,9 @@ def _plain(value):
 
 def _parse_grid(spec, decouple_mu, method=None):
     """Parse --grid: 'default' or 'name=v1,v2[;name=v1,v2]' with names lambda/mu/bins,
-    each of which ``method``, if given, must search."""
-    if spec == "default":
-        return HyperGrid(mus=LAMBDA_GRID if decouple_mu else ())
+    each of which ``method``, if given, must search (mu too with ``decouple_mu``)."""
     fields = {}
-    for part in spec.split(";"):
+    for part in ([] if spec == "default" else spec.split(";")):
         part = part.strip()
         if not part:
             continue
@@ -327,35 +325,40 @@ def _parse_grid(spec, decouple_mu, method=None):
             fields["mus"] = tuple(float(v) for v in values.split(","))
         else:
             raise ValueError(f"unknown --grid name {name!r}")
-    if not fields:
+    if not fields and spec != "default":
         raise ValueError(f"empty --grid specification {spec!r}")
     searched = method_spec(method).defaults if method else ("lam", "mu", "bins")
     for field, name, word in (("lambdas", "lam", "lambda"), ("mus", "mu", "mu"),
                               ("bins", "bins", "bin count")):
         if field in fields and name not in searched:
             raise ValueError(f"method {method} takes no {word} in --grid")
+    if decouple_mu and "mu" not in searched:
+        raise ValueError(f"method {method} takes no mu to search with --decouple-mu")
     if decouple_mu and "mus" not in fields:
         fields["mus"] = fields.get("lambdas", LAMBDA_GRID)
     return HyperGrid(**fields)
 
 
 def _fixed_hyper(args):
-    """Fixed hyperparameters for --method from flags, falling back to defaults."""
+    """Fixed hyperparameters for --method from flags, falling back to defaults.
+
+    A grid sets every hyperparameter it searches and the defaults the rest,
+    so with --grid a fixed value is an error, as is --decouple-mu without it.
+    """
     hyper = dict(method_spec(args.method).defaults)
-    if getattr(args, "lam", None) is not None:
-        if "lam" not in hyper:
-            raise ValueError(f"method {args.method} takes no lambda")
-        hyper["lam"] = args.lam
-        if "mu" in hyper and args.mu is None:
-            hyper["mu"] = args.lam
-    if getattr(args, "mu", None) is not None:
-        if "mu" not in hyper:
-            raise ValueError(f"method {args.method} takes no mu")
-        hyper["mu"] = args.mu
-    if getattr(args, "bin_count", None) is not None:
-        if "bins" not in hyper:
-            raise ValueError(f"method {args.method} takes no bin count")
-        hyper["bins"] = args.bin_count
+    for name, word, value in (("lam", "lambda", args.lam), ("mu", "mu", args.mu),
+                              ("bins", "bin count", args.bin_count)):
+        if value is None:
+            continue
+        if name not in hyper:
+            raise ValueError(f"method {args.method} takes no {word}")
+        if args.grid:
+            raise ValueError(f"method {args.method} takes no fixed {word} with --grid")
+        hyper[name] = value
+    if args.lam is not None and "mu" in hyper and args.mu is None:
+        hyper["mu"] = args.lam
+    if args.decouple_mu and not args.grid:
+        raise ValueError("--decouple-mu needs --grid")
     return hyper
 
 

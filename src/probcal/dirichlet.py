@@ -229,16 +229,6 @@ def to_generative(params: CanonicalParams) -> GenerativeParams:
 # Fitting: penalized multinomial logistic regression on log-probabilities
 # ---------------------------------------------------------------------------
 
-#: Parameter count up to which ``fit_multinomial`` passes a dense Hessian
-#: (dense Newton) and above which a Hessian operator (Newton-CG). The
-#: dense Hessian of d parameters costs O(n d^2 + d^3) per step, an operator
-#: product O(n d). Measured crossover with full W (ODIR fits, one BLAS
-#: thread, medians of 7 alternating fits), dense vs CG: at n = 3333, 78 vs
-#: 89 ms for k = 15 (240 parameters), 80 vs 58 ms for k = 16 (272) and 88 vs
-#: 65 ms for k = 17 (306); at n = 10^4, 189 vs 242, 229 vs 183 and 280 vs
-#: 257 ms.
-DENSE_NEWTON_MAX_DIM = 240
-
 def _penalty_matrix(reg, k: int):
     """Per-entry quadratic penalty weights of [W | b], shape (k, k+1)."""
     if isinstance(reg, L2Config):
@@ -285,15 +275,12 @@ def _value_grad(theta, XT, y, pen, free):
 
 
 def _hessian(theta, XT, pen, free):
+    """The float64 Hessian of ``_value_grad`` over the ``free`` entries."""
     k, n = free.shape[0], XT.shape[1]
     P = softmax(_unpack(theta, free) @ XT, axis=0)
     # Class-block layout: block a holds the free entries of row a of [W | b],
-    # which multiply G[a], the rows of XT they see. With every entry free G
-    # is a broadcast view: no copy, and each G[a] is XT itself.
-    if free.all():
-        G = np.broadcast_to(XT, (k,) + XT.shape)
-    else:
-        G = XT[np.nonzero(free)[1].reshape(k, -1)]
+    # which multiply G[a], the rows of XT they see.
+    G = XT[np.nonzero(free)[1].reshape(k, -1)]
     width = G.shape[1]
     V = P[:, None, :] * G
     flat = V.reshape(k * width, n)
@@ -484,11 +471,10 @@ def fit_multinomial(feats, labels, reg, diagonal: bool = False,
     up to one vector added to every row; b returns with sum 0, W with
     column sums 0.
 
-    Newton steps use the float64 dense Hessian up to ``DENSE_NEWTON_MAX_DIM``
-    parameters, and above it one ``_HessianOperator`` for the whole fit
-    (Newton-CG), which sees a full W only: diagonal W always uses the dense
-    Hessian, since an operator product costs O(n k^2) for either structure,
-    as much as the whole dense Hessian of 2k parameters. The operator's
+    The structure picks the Newton solver. Diagonal W (vector scaling, beta
+    maps) uses the float64 dense Hessian of its 2k parameters, which costs
+    as much as one operator product, O(n k^2). Full W, at any k, uses one
+    ``_HessianOperator`` for the whole fit (Newton-CG). The operator's
     products and block builds run in float32; the objective, the gradient,
     the stopping rule, the line search and the CG recurrences stay float64,
     so float32 changes only how closely each Newton step is solved.
@@ -508,7 +494,7 @@ def fit_multinomial(feats, labels, reg, diagonal: bool = False,
     free = _free_mask(k, diagonal)
     M0 = np.eye(k, k + 1) if _start is None else np.column_stack([_start.W, _start.b])
     theta0 = M0[free]
-    if diagonal or theta0.size <= DENSE_NEWTON_MAX_DIM:
+    if diagonal:
         def hess(t):
             return _hessian(t, XT, pen, free)
     else:

@@ -79,8 +79,9 @@ def _affine_spec(mode, reg, defaults) -> MethodSpec:
 def _ovr_spec(kind, defaults) -> MethodSpec:
     return MethodSpec(
         input=PROBABILITIES,
-        fit=lambda X, y, h, *_: ovr.fit_ovr(X, y, kind, **{name: h[name] for name in defaults}),
-        apply=lambda params, X, floor: ovr.apply_ovr(X, params),
+        fit=lambda X, y, h, floor, start: ovr.fit_ovr(
+            X, y, kind, floor, **{name: h[name] for name in defaults}),
+        apply=lambda params, X, floor: ovr.apply_ovr(X, params, floor),
         to_json=lambda params: {"kind": params.kind,
                                 "maps": [_binary_to_jsonable(m) for m in params.maps]},
         from_json=lambda obj: ovr.OneVsRestModel(

@@ -188,14 +188,18 @@ def fit_beta(scores, labels, lam: float = 1e-10,
              floor: float = DEFAULT_CLIP_FLOOR) -> BetaParams:
     """Fit the beta family by a two-class Dirichlet fit on (1-s, s) rows.
 
-    The fit is unconstrained (coefficients may come out negative, the
-    linear family is the superset); the reduction to (a, b, c) follows
-    from the two-class score difference.
+    With two classes the score difference (W10 - W00) ln(1-s) + (W11 - W01)
+    ln s + (b1 - b0) has three free coefficients whether W is full or
+    diagonal, so the fit is two-class vector scaling on the clipped log
+    features (diagonal W, dense Newton steps). It is unconstrained
+    (coefficients may come out negative, the linear family is the
+    superset); the reduction to (a, b, c) follows from the score difference.
     """
     s, y = _binary_inputs(scores, labels)
     if np.unique(y).size < 2:
         raise ValueError("labels contain a single class; nothing to fit")
-    linear = fit_multinomial(_beta_features(s, floor), y.astype(np.int64), L2Config(lam))
+    linear = fit_multinomial(_beta_features(s, floor), y.astype(np.int64), L2Config(lam),
+                             diagonal=True)
     W, b = linear.W, linear.b
     # Positive-class score difference: s1 - s0 = a ln s - b ln(1-s) + c.
     return BetaParams(
@@ -216,34 +220,36 @@ def _isotonic_runs(scores, labels) -> IsotonicMap:
 
 
 _BINARY_FITTERS = {
-    "isotonic": lambda s, y, cfg: _isotonic_runs(s, y),
-    "width_bin": lambda s, y, cfg: fit_binning(s, y, cfg["bins"], "equal-width"),
-    "freq_bin": lambda s, y, cfg: fit_binning(s, y, cfg["bins"], "equal-frequency"),
-    "beta": lambda s, y, cfg: fit_beta(s, y, cfg.get("lam", 1e-10)),
+    "isotonic": lambda s, y, floor, cfg: _isotonic_runs(s, y),
+    "width_bin": lambda s, y, floor, cfg: fit_binning(s, y, cfg["bins"], "equal-width"),
+    "freq_bin": lambda s, y, floor, cfg: fit_binning(s, y, cfg["bins"], "equal-frequency"),
+    "beta": lambda s, y, floor, cfg: fit_beta(s, y, floor=floor),
 }
 
 
-def fit_ovr(probs, labels, kind: str, **config) -> OneVsRestModel:
+def fit_ovr(probs, labels, kind: str, floor: float = DEFAULT_CLIP_FLOOR,
+            **config) -> OneVsRestModel:
     """Fit one binary calibrator per class on column j vs indicator(y == j).
 
     Isotonic maps are kept in run form: one (breakpoint, value) pair per
     pool-adjacent-violators block, which predicts the same as the
     per-score map ``fit_isotonic`` returns and is the form model files
-    store.
+    store. Beta maps are fitted on features clipped at ``floor``.
     """
     p = as_probability_matrix(probs)
     y = as_label_vector(labels, p.shape[1], p.shape[0])
     if kind not in _BINARY_FITTERS:
         raise ValueError(f"unknown one-vs-rest kind {kind!r}")
     fitter = _BINARY_FITTERS[kind]
-    maps = [fitter(p[:, j], (y == j).astype(float), config) for j in range(p.shape[1])]
+    maps = [fitter(p[:, j], (y == j).astype(float), floor, config) for j in range(p.shape[1])]
     return OneVsRestModel(kind=kind, maps=tuple(maps))
 
 
-def apply_ovr(q, model: OneVsRestModel) -> np.ndarray:
+def apply_ovr(q, model: OneVsRestModel, floor: float = DEFAULT_CLIP_FLOOR) -> np.ndarray:
     """Apply the per-class maps coordinate-wise and renormalize.
 
-    Each class column is predicted into one (n, k) output, which is then
+    Beta maps predict on features clipped at ``floor``, the floor of their
+    fit. Each class column is predicted into one (n, k) output, which is then
     renormalized in place. If every coordinate maps to zero the row falls
     back to uniform.
     """
@@ -253,7 +259,7 @@ def apply_ovr(q, model: OneVsRestModel) -> np.ndarray:
         raise ValueError(f"expected {model.k} classes, got {p.shape[1]}")
     out = np.empty_like(p)
     for j, m in enumerate(model.maps):
-        out[:, j] = m.predict(p[:, j])
+        out[:, j] = m.predict(p[:, j], floor) if model.kind == "beta" else m.predict(p[:, j])
     totals = out.sum(axis=1, keepdims=True)
     nonzero = totals > 0.0
     np.divide(out, totals, out=out, where=nonzero)

@@ -151,9 +151,8 @@ def fit_affine_logit(z, labels, mode: str = "matrix",
     modes start from the identity (W = I, b = 0), or from the map
     ``_start`` when a grid search fits its points as a path, and use Newton
     steps with a backtracking line search (``dirichlet.fit_multinomial``):
-    vector scaling, and matrix scaling up to k = 15, solve each step with
-    the dense Hessian; larger matrix-scaling fits use Newton-CG on
-    Hessian-vector products.
+    vector scaling solves each step with the dense Hessian, and matrix
+    scaling, at any k, uses Newton-CG on Hessian-vector products.
     """
     if mode not in ("matrix", "vector"):
         raise ValueError(f"mode must be 'matrix' or 'vector', got {mode!r}")

@@ -418,6 +418,18 @@ class TestHyperparameterFlags:
         ("ovr_isotonic", ["--lambda", "1e-2"], "method ovr_isotonic takes no lambda"),
         ("dirichlet_l2", ["--mu", "1e-2"], "method dirichlet_l2 takes no mu"),
         ("dirichlet_odir", ["--bin-count", "5"], "method dirichlet_odir takes no bin count"),
+        # A grid sets every hyperparameter: a fixed value beside it is an error.
+        ("dirichlet_odir", ["--folds", "2", "--grid", "lambda=1e-3,1e-2", "--mu", "5"],
+         "method dirichlet_odir takes no fixed mu with --grid"),
+        ("dirichlet_odir", ["--folds", "2", "--grid", "lambda=1e-3,1e-2", "--lambda", "7"],
+         "method dirichlet_odir takes no fixed lambda with --grid"),
+        ("ovr_width_bin", ["--folds", "2", "--grid", "default", "--bin-count", "3"],
+         "method ovr_width_bin takes no fixed bin count with --grid"),
+        ("dirichlet_l2", ["--folds", "2", "--grid", "lambda=1e-3", "--decouple-mu"],
+         "method dirichlet_l2 takes no mu"),
+        ("dirichlet_l2", ["--folds", "2", "--grid", "default", "--decouple-mu"],
+         "method dirichlet_l2 takes no mu"),
+        ("dirichlet_odir", ["--decouple-mu"], "--decouple-mu needs --grid"),
     ])
     def test_flag_the_method_lacks(self, tmp_path, prob_file, capsys, method, flags, message):
         rc, _ = self._fit(tmp_path, prob_file[0], method, *flags)
@@ -535,6 +547,37 @@ class TestApplyCommand:
         cli.main(["apply", str(model_path), str(data_path), "-o", str(out)])
         calibrated, _, _ = cli.read_predictions(out)
         assert log_loss(calibrated, y) < log_loss(q, y)
+
+    def test_ovr_beta_fits_and_applies_at_the_clip_floor(self, tmp_path, rng):
+        # Exact 0s and 1s are clipped to the model's floor in the beta maps'
+        # features, in the fit and in the apply.
+        from probcal.ovr import BetaParams, fit_beta
+
+        q = random_simplex(rng, 300, 3)
+        y = sample_labels_from_rows(rng, q)
+        q[::4, 0] = 0.0
+        q[::5] = np.eye(3)[y[::5]]
+        q /= q.sum(axis=1, keepdims=True)
+        data_path = tmp_path / "sparse.csv"
+        write_csv(data_path, q, labels=y)
+        X, _, _ = cli.read_predictions(data_path)
+        model_path = tmp_path / "beta.json"
+        rc = cli.main(["fit", str(data_path), "--method", "ovr_beta", "--clip-floor", "1e-12",
+                       "-o", str(model_path)])
+        assert rc == 0
+        maps = json.loads(model_path.read_text())["params"]["maps"]
+        want = [fit_beta(X[:, j], (y == j).astype(float), floor=1e-12) for j in range(3)]
+        assert [(m["a"], m["b"], m["c"]) for m in maps] == [(w.a, w.b, w.c) for w in want]
+        default = fit_beta(X[:, 0], (y == 0).astype(float))
+        assert abs(default.a - want[0].a) > 1e-3
+        out = tmp_path / "cal.csv"
+        assert cli.main(["apply", str(model_path), str(data_path), "-o", str(out)]) == 0
+        calibrated, _, _ = cli.read_predictions(out)
+        cols = np.column_stack([w.predict(X[:, j], 1e-12) for j, w in enumerate(want)])
+        np.testing.assert_allclose(calibrated, cols / cols.sum(axis=1, keepdims=True),
+                                   rtol=0, atol=1e-15)
+        assert not np.allclose(cols[:, 0], BetaParams(want[0].a, want[0].b, want[0].c)
+                               .predict(X[:, 0]))
 
     def test_kind_mismatch(self, tmp_path, prob_file):
         path, _, _ = prob_file

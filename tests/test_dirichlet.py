@@ -401,10 +401,7 @@ class TestFit:
     def test_fit_past_dense_newton_limit_converges(self, rng):
         # k = 50 has 2550 parameters, where gradient steps once stalled near
         # a gradient norm of 1e-2; Newton-CG must reach tol without warning.
-        from probcal.dirichlet import DENSE_NEWTON_MAX_DIM
-
         k = 50
-        assert k * k + k > DENSE_NEWTON_MAX_DIM
         q = random_simplex(rng, 1000, k, concentration=0.5)
         y = sample_labels_from_rows(rng, q)
         reg = OdirConfig(1e-3, 1e-3)
@@ -457,16 +454,18 @@ class TestFit:
         assert len(builds) == len(steps) > 0
         assert np.max(np.abs(apply_linear(q, fitted) - apply_linear(q, rebuilt))) <= 1e-6
 
-    def test_fit_at_k16_takes_newton_cg_and_converges(self, rng, monkeypatch):
-        # k = 16 (272 parameters) is the first full-W size past the dense limit.
+    @pytest.mark.parametrize("k", [2, 3, 10, 16])
+    def test_full_w_fit_takes_newton_cg_and_converges(self, rng, monkeypatch, k):
+        # Every full-W fit, at any k, is solved by one Newton-CG operator.
         from probcal import dirichlet
-        from probcal.dirichlet import DENSE_NEWTON_MAX_DIM
 
-        k = 16
-        assert k * k + k > DENSE_NEWTON_MAX_DIM >= (k - 1) ** 2 + (k - 1)
-        built = []
+        made, built = [], []
 
         class CountingOperator(dirichlet._HessianOperator):
+            def __init__(self, *args, **kwargs):
+                made.append(1)
+                super().__init__(*args, **kwargs)
+
             def at(self, theta):
                 super().at(theta)
                 built.append((self.XT.dtype, self.probs.dtype))
@@ -480,9 +479,41 @@ class TestFit:
             warnings.simplefilter("error", RuntimeWarning)
             fitted = fit(q, y, reg, tol=1e-8)
         # Its products run in float32; the gradient check below is float64.
+        assert len(made) == 1
         assert built and all(x == p == np.float32 for x, p in built)
         _, grad = objective_and_gradient(fitted, q, y, reg)
         assert np.max(np.abs(grad)) <= 1e-8
+
+    @pytest.mark.parametrize("method", ["vector_scaling", "beta"])
+    def test_diagonal_w_fit_takes_dense_newton(self, rng, monkeypatch, method):
+        # Vector scaling and beta maps keep W diagonal: every Newton step
+        # solves with the dense Hessian, and no operator is built.
+        from probcal import dirichlet
+        from probcal.ovr import fit_beta
+        from probcal.scaling import fit_affine_logit
+
+        dense = []
+
+        def counting_hessian(*args):
+            dense.append(1)
+            return real_hessian(*args)
+
+        def no_operator(*args, **kwargs):
+            raise AssertionError("a diagonal-W fit built a Hessian operator")
+
+        real_hessian = dirichlet._hessian
+        monkeypatch.setattr(dirichlet, "_hessian", counting_hessian)
+        monkeypatch.setattr(dirichlet, "_HessianOperator", no_operator)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if method == "beta":
+                scores = rng.uniform(0.02, 0.98, size=1500)
+                fit_beta(scores, (rng.random(1500) < scores ** 1.4).astype(float))
+            else:
+                z = rng.normal(size=(1500, 10)) * 1.5
+                fit_affine_logit(z, sample_labels_from_rows(rng, softmax(z * 0.6, axis=1)),
+                                 mode="vector", reg=OdirConfig(0.0, 1e-3))
+        assert dense
 
     def test_gradient_zero_at_optimum(self, rng):
         q = random_simplex(rng, 200, 3)

@@ -5,7 +5,7 @@ import pytest
 
 from probcal import harness
 from probcal.core import LOGITS, clip_probabilities, log_transform, softmax
-from probcal.dirichlet import OdirConfig, _penalty_matrix, _prepare, _value_grad
+from probcal.dirichlet import OdirConfig, _free_mask, _penalty_matrix, _prepare, _value_grad
 from probcal.harness import HyperGrid, compare_methods, cross_val_fit, stratified_folds
 from probcal.metrics import log_loss
 from probcal.models import METHOD_INPUT, METHODS, EnsembleModel, fit_calibrator
@@ -116,19 +116,25 @@ class TestWarmStartedGrid:
         if member.input_kind != LOGITS:
             X = log_transform(clip_probabilities(X, member.clip_floor))
         XT, labels = _prepare(X, y)
-        M = np.column_stack([W, b])
-        pen = _penalty_matrix(OdirConfig(**member.hyperparams), W.shape[0])
-        _, grad = _value_grad(M.ravel(), XT, labels, pen, np.ones(M.shape, dtype=bool))
+        hyper = member.hyperparams
+        pen = _penalty_matrix(OdirConfig(hyper.get("lam", 0.0), hyper["mu"]), W.shape[0])
+        # Vector scaling fits the diagonal of W alone.
+        free = _free_mask(W.shape[0], diagonal=member.method == "vector_scaling")
+        theta = np.column_stack([W, b])[free]
+        _, grad = _value_grad(theta, XT, labels, pen, free)
         return np.max(np.abs(grad))
 
-    # k = 5 takes dense Newton steps, k = 20 (420 parameters) Newton-CG.
+    # Full-W fits (dirichlet_odir, matrix_odir) take Newton-CG steps at any
+    # k, vector scaling (diagonal W) dense Newton steps.
     @pytest.mark.parametrize("method,k", [("dirichlet_odir", 5), ("dirichlet_odir", 20),
-                                          ("matrix_odir", 5)])
+                                          ("matrix_odir", 5), ("vector_scaling", 5)])
     def test_matches_cold_start_at_every_point(self, method, k, rng, monkeypatch):
         q = random_simplex(rng, 600, k, concentration=0.5)
         y = sample_labels_from_rows(rng, q ** 2 / (q ** 2).sum(axis=1, keepdims=True))
         X = np.log(q) if METHOD_INPUT[method] == LOGITS else q
-        grid = HyperGrid(lambdas=(1e-4, 1e-3, 1e-2))
+        # Vector scaling searches mu alone; the others tie mu to lambda.
+        weights = (1e-4, 1e-3, 1e-2)
+        grid = HyperGrid(lambdas=weights, mus=weights if method == "vector_scaling" else ())
         assignment = stratified_folds(y, 3, seed=4)
         reference = []
         for hyper in grid.points(method):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from probcal.dirichlet import DENSE_NEWTON_MAX_DIM
 from probcal.optim import OptimizationError, _cg_direction, minimize
 
 
@@ -94,7 +93,7 @@ class TestMinimize:
         assert res.iterations == plain.iterations > 2
 
     def test_newton_cg_on_random_quadratic_above_crossover(self, rng):
-        d = DENSE_NEWTON_MAX_DIM + 50
+        d = 290
         root = rng.normal(size=(d, d))
         H = root @ root.T / d + np.diag(rng.uniform(0.5, 5.0, size=d))
         target = rng.normal(size=d)

@@ -7,9 +7,11 @@ Runs the CLI of each tree on the same seeded inputs and compares:
   byte for byte;
 - one model file per method tag, byte for byte apart from ``created``,
   and the CSV that ``apply`` writes with it, plus ``ovr_isotonic`` and
-  ``uncalibrated`` models and outputs at n = 10^4, k = 100, and Newton-CG
-  fits (``dirichlet_l2`` and ``dirichlet_odir`` at k = 30, ``matrix_odir``
-  at k = 20), each once and by a 3-fold two-point lambda grid;
+  ``uncalibrated`` models and outputs at n = 10^4, k = 100, larger
+  Newton-CG fits (``dirichlet_l2`` and ``dirichlet_odir`` at k = 30,
+  ``matrix_odir`` at k = 20) and a small one (``dirichlet_odir`` at k = 3),
+  each once and by a 3-fold two-point lambda grid, and ``ovr_beta`` at clip
+  floor 1e-12 on rows with exact zeros and ones;
 - every p-value, bit for bit (``float.hex``).
 
 Usage, with the other commit checked out elsewhere (by ``git clone``)::
@@ -108,21 +110,27 @@ def jobs(seed):
                     "--resamples", "100", "--seed", str(seed), "--format", fmt]
             out.append((f"compare {data} {fmt}", argv + (["--methods", methods] if methods else []),
                         []))
-    cases = [(m, "z10.csv" if m in LOGIT_METHODS else "p10.csv", m, []) for m in METHODS]
+    # (method, input, label, flags of every fit, flags of the 3-fold fit)
+    cases = [(m, "z10.csv" if m in LOGIT_METHODS else "p10.csv", m, [], []) for m in METHODS]
     # At the paper's size the applies' working arrays are largest.
-    cases += [(m, "p100n10000.csv", f"{m} k100", []) for m in ("ovr_isotonic", "uncalibrated")]
-    # Past the dense-Newton limit of 240 parameters (930 at k = 30, 420 at
-    # k = 20 with full W), every Newton step is solved by CG.
+    cases += [(m, "p100n10000.csv", f"{m} k100", [], [])
+              for m in ("ovr_isotonic", "uncalibrated")]
+    # Every full-W fit solves its Newton steps by CG, from k = 3 (12
+    # parameters) to k = 30 (930).
     lambdas = ["--grid", "lambda=1e-3,1e-1"]
-    cases += [(m, "p30.csv", f"{m} k30", lambdas) for m in ("dirichlet_l2", "dirichlet_odir")]
-    cases += [("matrix_odir", "z20.csv", "matrix_odir k20", lambdas)]
-    for method, data, label, grid in cases:
+    cases += [(m, "p30.csv", f"{m} k30", [], lambdas) for m in ("dirichlet_l2", "dirichlet_odir")]
+    cases += [("matrix_odir", "z20.csv", "matrix_odir k20", [], lambdas),
+              ("dirichlet_odir", "p3.csv", "dirichlet_odir k3", [], lambdas)]
+    # Beta maps clip their features at the model's floor; the exact zeros
+    # and ones of the sparse file meet it.
+    cases += [("ovr_beta", "p100sparse.csv", "ovr_beta k100 floor", ["--clip-floor", "1e-12"], [])]
+    for method, data, label, flags, grid in cases:
         for folds in ("1", "3"):
             stem = f"{label.replace(' ', '-')}-{folds}"
             model = f"{stem}.json"
             out.append((f"fit {label} folds {folds}",
                         ["fit", data, "--method", method, "--folds", folds, "--seed", str(seed),
-                         "-o", model] + (grid if folds == "3" else []), [model]))
+                         "-o", model] + flags + (grid if folds == "3" else []), [model]))
             out.append((f"apply {label} folds {folds}",
                         ["apply", model, data, "-o", f"{stem}.out.csv"], [f"{stem}.out.csv"]))
             if method in ("dirichlet_l2", "dirichlet_odir", "temperature"):
