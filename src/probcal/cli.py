@@ -357,9 +357,14 @@ def _fixed_hyper(args):
         hyper[name] = value
     if args.lam is not None and "mu" in hyper and args.mu is None:
         hyper["mu"] = args.lam
+    _check_decouple_mu(args)
+    return hyper
+
+
+def _check_decouple_mu(args):
+    """--decouple-mu changes only a searched grid, so it needs --grid."""
     if args.decouple_mu and not args.grid:
         raise ValueError("--decouple-mu needs --grid")
-    return hyper
 
 
 def _read_labelled(args):
@@ -467,6 +472,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_decouple_mu(args)
     X, kind, y, _ = _read_labelled(args)
     if args.methods:
         methods = [m.strip() for m in args.methods.split(",")]

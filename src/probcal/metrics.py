@@ -9,7 +9,6 @@ index everywhere.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -18,6 +17,16 @@ from .core import DEFAULT_CLIP_FLOOR, as_label_vector, as_probability_matrix, cl
 
 #: Default equal-width bin count for ECE / MCE / reliability diagrams.
 DEFAULT_BINS = 15
+#: Elements of the (n, k) predictions handled at a time where a measure
+#: needs a full-size temporary: about 512 KB of float64.
+_CHUNK_ELEMENTS = 1 << 16
+
+
+def _chunks(length: int, width: int) -> list:
+    """Slices covering ``range(length)``, each of about ``_CHUNK_ELEMENTS``
+    elements of an array with ``width`` elements per index."""
+    step = max(1, _CHUNK_ELEMENTS // max(1, width))
+    return [slice(start, min(start + step, length)) for start in range(0, length, step)]
 
 
 def _bin_edges(m: int) -> np.ndarray:
@@ -63,15 +72,17 @@ class _Binning:
 
     Column j of ``x`` (n, c) holds one predicted probability per row, binned
     into ``m`` bins. Each bin keeps its row count and mean prediction; what
-    varies is only which rows are hits. A block of R hit sets, shape (n, R),
-    is either integer labels, where label l in row i is a hit for column l,
-    or, when ``x`` has one column, a boolean mask of the rows that are hits.
+    varies is only which rows are hits, so the gaps are functions of hit
+    counts per (hit set, column, bin). ``hits`` counts a block of R hit
+    sets, shape (t, R), over a slice of t rows; counts of several row
+    slices add up to those of all rows.
 
-    Hits of a label block are counted by one ``bincount`` over the key
-    (hit set, prediction column, bin); misses go to an overflow key. A hit
-    mask is summed over each bin's rows: its rows, ordered by bin, are
-    added up run by run in integers. The (prediction column, bin) keys
-    are held as int32 where they fit, half the memory of int64.
+    Each prediction's bin is kept per (row, column) in the narrowest
+    unsigned type that holds m - 1. A block of integer labels, where label
+    l in row i is a hit for column l, is counted by one ``np.add.at`` over
+    the key (hit set, l, bin of (i, l)). When ``x`` has one column, a block
+    may instead be a boolean mask of the rows that are hits, counted per
+    bin by one matrix product of the rows' bin indicators and the mask.
     """
 
     def __init__(self, x: np.ndarray, m: int):
@@ -79,51 +90,58 @@ class _Binning:
             raise ValueError("bin count must be at least 1")
         n, c = x.shape
         self.n, self.m = n, m
-        keys = _bin_index(x, m)
-        keys += m * np.arange(c)
-        flat = keys.ravel()
-        self.counts = np.bincount(flat, minlength=c * m).reshape(c, m)
-        sums = np.bincount(flat, weights=x.ravel(), minlength=c * m).reshape(c, m)
-        self.keys = keys.astype(np.int32 if c * m <= np.iinfo(np.int32).max else np.intp)
+        self.bins = np.empty((n, c), dtype=np.min_scalar_type(m - 1))
+        counts = np.zeros(c * m, dtype=np.intp)
+        sums = np.zeros(c * m)
+        # A row chunk at a time; ``add.at`` adds each prediction to its bin's
+        # sum in row order, starting from 0, as one bincount of all rows does.
+        for rows in _chunks(n, c):
+            keys = _bin_index(x[rows], m)
+            self.bins[rows] = keys
+            keys += m * np.arange(c)
+            counts += np.bincount(keys.ravel(), minlength=c * m)
+            np.add.at(sums, keys.ravel(), x[rows].ravel())
+        self.counts = counts.reshape(c, m)
         with np.errstate(invalid="ignore"):
-            self.mean = np.where(self.counts > 0, sums / np.maximum(self.counts, 1), np.nan)
+            self.mean = np.where(self.counts > 0, sums.reshape(c, m) / np.maximum(self.counts, 1),
+                                 np.nan)
 
-    @cached_property
-    def _row_start(self):
-        """Position of each row's first key in the flattened keys, (n, 1)."""
-        return (np.arange(self.n) * self.keys.shape[1])[:, None]
-
-    @cached_property
-    def _bin_runs(self):
-        """Rows in bin order, the first position of each nonempty bin's run
-        in that order, and the mask of nonempty bins, for a single
-        prediction column."""
-        filled = self.counts[0] > 0
-        starts = np.cumsum(self.counts[0]) - self.counts[0]
-        return np.argsort(self.keys[:, 0], kind="stable"), starts[filled], filled
-
-    def hits(self, block: np.ndarray) -> np.ndarray:
-        """Hit counts of shape (R, c, m) for a label block or hit mask (n, R)."""
-        size = self.counts.size
+    def hits(self, block: np.ndarray, rows: slice = slice(None), out=None) -> np.ndarray:
+        """Hit counts of shape (R, c, m) for a label block or hit mask (t, R)
+        of the rows ``rows``, added to ``out`` if given."""
+        bins = self.bins[rows]
+        t, c = bins.shape
         n_sets = block.shape[1]
+        if out is None:
+            out = np.zeros((n_sets, c, self.m), dtype=np.intp)
         if block.dtype == bool:
-            order, starts, filled = self._bin_runs
-            out = np.zeros((n_sets, size), dtype=np.intp)
-            out[:, filled] = np.add.reduceat(block[order], starts, axis=0, dtype=np.intp).T
-            return out.reshape(n_sets, *self.counts.shape)
-        keys = self.keys.ravel()[block + self._row_start] + (size + 1) * np.arange(n_sets)
-        flat = np.bincount(keys.ravel(), minlength=n_sets * (size + 1))
-        return flat.reshape(n_sets, size + 1)[:, :size].reshape(n_sets, *self.counts.shape)
+            # Sums of 0/1 over at most t rows are exact in float32 below 2^24.
+            dtype = np.float32 if t < 1 << 24 else float
+            member = (bins[:, 0] == np.arange(self.m)[:, None]).astype(dtype)
+            out[:, 0] += (member @ block.astype(dtype)).T.astype(np.intp)
+            return out
+        keys = block + (c * np.arange(t))[:, None]
+        in_bin = bins.ravel()[keys]
+        np.multiply(block, self.m, out=keys, dtype=np.intp)
+        keys += in_bin
+        keys += c * self.m * np.arange(n_sets)
+        np.add.at(out.reshape(-1), keys.ravel(), 1)
+        return out
 
-    def bin_gaps(self, block: np.ndarray) -> np.ndarray:
+    def bin_gaps(self, hits: np.ndarray) -> np.ndarray:
         """|hit frequency - mean prediction| per hit set, prediction column
-        and bin, 0 where the bin is empty: shape (R, c, m)."""
-        freq = self.hits(block) / np.maximum(self.counts, 1)
-        return np.where(self.counts > 0, np.abs(freq - self.mean), 0.0)
+        and bin, 0 where the bin is empty, from hit counts (R, c, m)."""
+        gaps = hits / np.maximum(self.counts, 1)
+        gaps -= self.mean
+        np.abs(gaps, out=gaps)
+        np.copyto(gaps, 0.0, where=self.counts == 0)
+        return gaps
 
-    def gaps(self, block: np.ndarray) -> np.ndarray:
+    def gaps(self, hits: np.ndarray) -> np.ndarray:
         """Count-weighted sum of ``bin_gaps`` over the bins: shape (R, c)."""
-        return (self.counts / self.n * self.bin_gaps(block)).sum(axis=-1)
+        weighted = self.bin_gaps(hits)
+        weighted *= self.counts / self.n
+        return weighted.sum(axis=-1)
 
     def reliability(self, hit: np.ndarray, mode: str, class_index=None) -> ReliabilityBins:
         """Reliability bins of the single prediction column against the
@@ -157,20 +175,29 @@ def _checked(p, y):
 # measures validate their inputs and delegate to them.
 
 def _classwise_ece(binning: _Binning, y):
-    per_class = binning.gaps(y[:, None])[0]
+    per_class = binning.gaps(binning.hits(y[:, None]))[0]
     return float(per_class.mean()), per_class
 
 
+# The losses work a row chunk at a time: each row's sum has the same bits
+# whichever rows share its chunk, and the mean is taken over all n rows.
+
 def _brier(p, y) -> float:
-    d = p.copy()
-    d[np.arange(p.shape[0]), y] -= 1.0
-    d *= d
-    return float(d.sum(axis=1).mean())
+    per_row = np.empty(p.shape[0])
+    for rows in _chunks(*p.shape):
+        d = p[rows].copy()
+        d[np.arange(d.shape[0]), y[rows]] -= 1.0
+        d *= d
+        per_row[rows] = d.sum(axis=1)
+    return float(per_row.mean())
 
 
 def _log_loss(p, y, floor: float) -> float:
-    p = clip_probabilities(p, floor)
-    return float(-np.log(p[np.arange(p.shape[0]), y]).mean())
+    per_row = np.empty(p.shape[0])
+    for rows in _chunks(*p.shape):
+        q = clip_probabilities(p[rows], floor)
+        per_row[rows] = -np.log(q[np.arange(q.shape[0]), y[rows]])
+    return float(per_row.mean())
 
 
 def _accuracy(p, y) -> float:
@@ -194,7 +221,8 @@ def classwise_reliability(p, y, j: int, m: int = DEFAULT_BINS) -> ReliabilityBin
 def confidence_ece(p, y, m: int = DEFAULT_BINS) -> float:
     """Count-weighted mean |accuracy - confidence| over nonempty bins."""
     p, y = _checked(p, y)
-    return float(_confidence_binning(p, m).gaps(_correct(p, y)[:, None])[0, 0])
+    binning = _confidence_binning(p, m)
+    return float(binning.gaps(binning.hits(_correct(p, y)[:, None]))[0, 0])
 
 
 def classwise_ece(p, y, m: int = DEFAULT_BINS):
@@ -212,7 +240,8 @@ def classwise_ece(p, y, m: int = DEFAULT_BINS):
 def mce(p, y, m: int = DEFAULT_BINS) -> float:
     """Maximum |accuracy - confidence| over nonempty confidence bins."""
     p, y = _checked(p, y)
-    return float(_confidence_binning(p, m).bin_gaps(_correct(p, y)[:, None]).max())
+    binning = _confidence_binning(p, m)
+    return float(binning.bin_gaps(binning.hits(_correct(p, y)[:, None])).max())
 
 
 def brier(p, y) -> float:
@@ -303,16 +332,17 @@ def evaluate(p, y, m: int = DEFAULT_BINS, floor: float = DEFAULT_CLIP_FLOOR, *,
     classwise, conf = _binnings or (_Binning(p, m), _confidence_binning(p, m))
     correct = _correct(p, y)
     acc = float(correct.mean())
+    conf_hits = conf.hits(correct[:, None])
     cw, per_class = _classwise_ece(classwise, y)
     return EvalReport(
         accuracy=acc,
         error_rate=1.0 - acc,
         log_loss=_log_loss(p, y, floor),
         brier=_brier(p, y),
-        conf_ece=float(conf.gaps(correct[:, None])[0, 0]),
+        conf_ece=float(conf.gaps(conf_hits)[0, 0]),
         cw_ece=cw,
         per_class_ece=per_class,
-        mce=float(conf.bin_gaps(correct[:, None]).max()),
+        mce=float(conf.bin_gaps(conf_hits).max()),
         bins=m,
         n=p.shape[0],
         k=p.shape[1],

@@ -13,17 +13,17 @@ for (resample r, row i) is derived from the 64-bit splitmix mix of
 draws, so results are bit-identical across runs, platforms, block sizes
 and any parallel execution order.
 
-Resamples are drawn in blocks of about ``_BLOCK_ELEMENTS`` (row,
-resample) pairs, at most 256 and at least one resample, so a block's
-temporaries stay a few MB whatever n is; only per-row data, built once
-per test, grows with n. The classwise statistic draws each
-pseudo-label from a guide table of the rows' cumulative probabilities,
-built once per test, which settles most draws with one lookup and the
-rest by a bisection over the few entries that share the uniform's
-bucket. The confidence statistic needs only
-whether each pseudo-label is the row's argmax, which two comparisons of
-the uniform against the row's cumulative probabilities decide, so it
-draws no labels.
+Resamples are taken in blocks, and each block is drawn and counted in
+tiles of (row slice x block), sized by ``_BLOCK_ELEMENTS``: a block's
+integer hit counts per (resample, column, bin) add up over its tiles, so
+only per-row data, built once per test, grows with n. The classwise
+statistic draws each pseudo-label from a guide table of the rows'
+cumulative probabilities, built once per test, which settles most draws
+with one lookup and the rest by a bisection over the few entries that
+share the uniform's bucket, on the cumulative sums of the tile's rows
+alone. The confidence statistic needs only whether each pseudo-label is
+the row's argmax, which two comparisons of the uniform against the row's
+cumulative probabilities decide, so it draws no labels.
 """
 
 import math
@@ -31,22 +31,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import DEFAULT_BINS, _Binning, _checked, _confidence_binning, _correct
+from .metrics import DEFAULT_BINS, _Binning, _checked, _chunks, _confidence_binning, _correct
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-#: Element budget of one resample block (rows x resamples): a block holds
-#: min(256, budget // n) resamples, at least one, so each (n, R) temporary
-#: stays near 2 MB of float64 however large n is, and n <= 1024 keeps
-#: blocks of 256. Chosen at n = 10^4, k = 100, R = 1000 on one core of a
-#: 2-vCPU x86-64 host: the classwise test's tracemalloc peak (R = 300) is
-#: 25 MB at 2^16-2^18, 30 MB at 2^19 and 43 MB at 2^20, while its time
-#: (median of 5) falls from 1.00 s at 2^16 to 0.84 s at 2^18 and no
-#: further; the confidence test takes 0.22-0.31 s at every budget.
-_BLOCK_ELEMENTS = 1 << 18
+#: Element budget of the resampling tiles: a block holds at most 256
+#: resamples and about this many (resample, column, bin) hit counts, and a
+#: tile about this many (row, resample) draws plus the c values per row its
+#: draw reads; a test of 600 rows, k = 10 and R = 200 is one tile. Chosen at
+#: n = 10^4, k = 100 on one core of a 2-vCPU x86-64 host, against the
+#: budget 2^18 of whole-row blocks with the full cumsum (23.7 MiB peak):
+#: the classwise test's tracemalloc peak (R = 300) is 7.3 MiB at 2^16,
+#: 8.8 MiB at 2^17, 10.3 MiB at 3 x 2^16 and 12.0 MiB at 2^18, while its
+#: CPU time at R = 1000 (median of 9, alternating with the old test) is
+#: 1.22, 0.96, 0.88 and 0.85 times the old one's. The confidence test
+#: takes 0.80-0.83 times at every budget.
+_BLOCK_ELEMENTS = 1 << 17
 #: Elements per slice of ``counter_uniforms``: 2^15 uint64 values (256 KB).
-_TILE = 1 << 15
+_HASH_SLICE = 1 << 15
 
 
 def _mix64_inplace(x: np.ndarray) -> np.ndarray:
@@ -77,7 +80,7 @@ def counter_uniforms(seed: int, resample_indices, row_indices) -> np.ndarray:
     # The hash makes about a dozen passes over its buffer, so it runs on
     # slices along the first axis small enough to stay in cache.
     r_rows, i_rows, out_rows = np.atleast_1d(r, i, out)
-    step = max(1, _TILE // max(1, math.prod(r.shape[1:])))
+    step = max(1, _HASH_SLICE // max(1, math.prod(r.shape[1:])))
     for start in range(0, out_rows.shape[0], step):
         rows = slice(start, start + step)
         h = _mix64_inplace(r_rows[rows] + i_rows[rows])
@@ -114,12 +117,15 @@ class TestResult:
         )
 
 
-def _pseudo_labels(cum: np.ndarray):
-    """Pseudo-label draw: a function from a uniform block (n, R) to labels.
+def _pseudo_labels(cum_rows, n: int, k: int):
+    """Pseudo-label draw: a function from a uniform tile (t, R) and its row
+    slice to the tile's labels.
 
+    ``cum_rows(rows)`` returns the cumulative probabilities of the row slice
+    ``rows``, shape (t, k): non-negative and non-decreasing along each row.
     The label of row i for uniform u is the number of entries of
     ``cum[i, :k-1]`` below u, i.e. the count of ``cum[i]`` below it
-    clipped to k - 1. Rows of ``cum`` are non-negative and non-decreasing.
+    clipped to k - 1.
 
     The draw reads a guide table (the cutpoint method of Chen & Asau,
     1974), built here once: for a power of two W, ``guide[i, g]`` counts
@@ -127,10 +133,10 @@ def _pseudo_labels(cum: np.ndarray):
     cum * W are exact, so for g = floor(u * W) the label lies in
     [guide[i, g], guide[i, g + 1]]. Where the two bounds are equal, that
     is the label; the other draws count the entries of ``cum[i]`` below u
-    between the bounds by a bisection over that range alone. Each row's
-    resamples sit together, so the gathers stay local. The table holds
-    counts in the narrowest unsigned type that holds k - 1, which is also
-    the type of the labels.
+    between the bounds by a bisection over that range alone, on the
+    tile's rows of ``cum`` only. Each row's resamples sit together, so the
+    gathers stay local. The table holds counts in the narrowest unsigned
+    type that holds k - 1, which is also the type of the labels.
 
     W is the power of two at or above 4k, and at least 64. With about
     four buckets per entry, the bounds agree for about 85% of the draws
@@ -138,45 +144,43 @@ def _pseudo_labels(cum: np.ndarray):
     64 leaves about 4% of the draws to the bisection, against 16% with
     16 buckets, whose draw took 1.6 times as long at k = 4, n = 2000.
     """
-    n, k = cum.shape
     width = 1 << max(6, (4 * k - 1).bit_length())
     guide = np.empty((n, width + 1), dtype=np.min_scalar_type(k - 1))
     # Row i's entry j counts towards guide[i, g] for every g above
     # cum * W: from bucket floor(cum * W) + 1 on. The table is built
-    # from a bincount of those buckets, about _BLOCK_ELEMENTS table
-    # entries at a time.
-    per_chunk = max(1, _BLOCK_ELEMENTS // (width + 2))
-    for start in range(0, n, per_chunk):
-        chunk = cum[start:start + per_chunk, :k - 1]
-        rows = chunk.shape[0]
+    # from a bincount of those buckets, a row chunk at a time.
+    for rows in _chunks(n, width + 2):
+        chunk = cum_rows(rows)[:, :k - 1]
+        t = chunk.shape[0]
         first = np.empty(chunk.shape, dtype=np.intp)
         np.multiply(chunk, width, out=first, casting="unsafe")
         np.minimum(first, width, out=first)
-        first += 1 + (width + 2) * np.arange(rows)[:, None]
-        counts = np.bincount(first.ravel(), minlength=rows * (width + 2))
-        np.cumsum(counts.reshape(rows, width + 2)[:, :width + 1], axis=1,
-                  dtype=guide.dtype, out=guide[start:start + rows])
-    flat_guide = guide.ravel()
-    # upper[j] is guide[i, g + 1] where flat_guide[j] is guide[i, g].
-    upper = flat_guide[1:]
-    flat_cum = cum.ravel()
-    row_start = (np.arange(n) * (width + 1))[:, None]
+        first += 1 + (width + 2) * np.arange(t)[:, None]
+        counts = np.bincount(first.ravel(), minlength=t * (width + 2))
+        np.cumsum(counts.reshape(t, width + 2)[:, :width + 1], axis=1,
+                  dtype=guide.dtype, out=guide[rows])
 
-    def draw(u: np.ndarray) -> np.ndarray:
+    def draw(u: np.ndarray, rows: slice) -> np.ndarray:
+        t, n_sets = u.shape
+        flat_guide = guide[rows].ravel()
         # The product is cast to integers (floor, as u >= 0) on its way
-        # out, with no float temporary.
+        # out, with no float temporary. upper is guide[i, g + 1].
         bucket = np.empty(u.shape, dtype=np.intp)
         np.multiply(u, width, out=bucket, casting="unsafe")
-        bucket += row_start
+        bucket += ((width + 1) * np.arange(t))[:, None]
         labels = flat_guide[bucket]
+        upper = flat_guide[1:][bucket]
+        del bucket  # freed, as is upper below, before the tile's cumsum
         # Draws whose bucket holds entries of cum: the label is lo plus
         # the count of cum[i, lo:hi] below u, found as pos in [lo, hi]
         # with every entry before pos below u, by halving steps.
-        open_ = np.flatnonzero(labels != upper[bucket])
-        base = open_ // u.shape[1] * k
+        open_ = np.flatnonzero(labels != upper)
+        base = open_ // n_sets * k
         pos = base + labels.ravel()[open_]
-        end = base + upper[bucket.ravel()[open_]]
+        end = base + upper.ravel()[open_]
+        del upper
         u_open = u.ravel()[open_]
+        flat_cum = cum_rows(rows).ravel()
         step = 1 << (int((end - pos).max(initial=1)).bit_length() - 1)
         while step:
             probe = np.minimum(pos + step, end)
@@ -189,44 +193,68 @@ def _pseudo_labels(cum: np.ndarray):
 
 
 def _argmax_hits(p: np.ndarray):
-    """Confidence hits: a function from a uniform block (n, R) to the mask
-    of draws whose pseudo-label is the row's argmax a (lowest index on ties).
+    """Confidence hits: a function from a uniform tile (t, R) and its row
+    slice to the mask of draws whose pseudo-label is the row's argmax a
+    (lowest index on ties).
 
     The draw counts the entries of ``cum[i, :k-1]`` strictly below u, and
     rows of ``cum`` are non-decreasing, so the label is a exactly when
     ``cum[i, a-1] < u`` (or a = 0) and ``u <= cum[i, a]`` (or a = k - 1).
+    Those two bounds are kept per row, taken from ``cum`` a row chunk at
+    a time.
     """
     n, k = p.shape
-    cum = np.cumsum(p, axis=1)
     a = p.argmax(axis=1)
-    rows = np.arange(n)
-    lo = np.where(a > 0, cum[rows, a - 1], -np.inf)[:, None]
-    hi = np.where(a < k - 1, cum[rows, a], np.inf)[:, None]
+    lo, hi = np.empty(n), np.empty(n)
+    for rows in _chunks(n, k):
+        cum = np.cumsum(p[rows], axis=1)
+        ar, index = a[rows], np.arange(cum.shape[0])
+        lo[rows] = np.where(ar > 0, cum[index, ar - 1], -np.inf)
+        hi[rows] = np.where(ar < k - 1, cum[index, ar], np.inf)
 
-    def draw(u: np.ndarray) -> np.ndarray:
-        hit = lo < u
-        hit &= u <= hi
+    def draw(u: np.ndarray, rows: slice) -> np.ndarray:
+        hit = lo[rows, None] < u
+        hit &= u <= hi[rows, None]
         return hit
 
     return draw
 
 
-def _resampled_statistics(n: int, statistic_fn, n_resamples: int, seed: int) -> np.ndarray:
+def _resampled_statistics(binning: _Binning, draw, n_resamples: int, seed: int) -> np.ndarray:
     """Statistic value against pseudo-labels for each resample index.
 
-    ``statistic_fn`` maps the uniforms of a block, shape (n, R), to R
-    values. Blocks hold ``min(256, _BLOCK_ELEMENTS // n)`` resamples (at
-    least one), so the block temporaries stay near ``_BLOCK_ELEMENTS``
-    elements whatever n is. Each uniform depends only on (seed, resample,
-    row), so the values do not depend on the block size.
+    ``draw`` maps the uniforms of a tile, shape (t, R), and its row slice
+    to the tile's hit sets for ``binning``. A block of R resamples is drawn
+    and counted tile by tile over its rows, and its integer hit counts are
+    summed over the tiles before the statistic is taken, so only per-row
+    data grows with n. Each uniform depends only on (seed, resample, row),
+    and counts are integers, so the values do not depend on the tile
+    shape.
     """
-    per_block = min(256, max(1, _BLOCK_ELEMENTS // n))
-    rows = np.arange(n)[:, None]
+    n = binning.n
+    per_block, per_tile = _tile_shape(n_resamples, binning)
+    row_index = np.arange(n)[:, None]
     out = np.empty(n_resamples)
     for start in range(0, n_resamples, per_block):
         block = np.arange(start, min(start + per_block, n_resamples))
-        out[block] = statistic_fn(counter_uniforms(seed, block[None, :], rows))
+        hits = np.zeros((block.size, *binning.counts.shape), dtype=np.intp)
+        for first in range(0, n, per_tile):
+            rows = slice(first, first + per_tile)
+            binning.hits(draw(counter_uniforms(seed, block, row_index[rows]), rows), rows, hits)
+        out[block] = binning.gaps(hits).mean(axis=1)
     return out
+
+
+def _tile_shape(n_resamples: int, binning: _Binning) -> tuple:
+    """(resamples per block, rows per tile) of a test against ``binning``.
+
+    A block's (R, c, m) hit counts and a tile's (t, R) draw each hold about
+    ``_BLOCK_ELEMENTS`` elements or fewer, counting in the tile the c
+    per-row values the draw reads besides the uniforms (a row of
+    cumulative probabilities for the classwise draw).
+    """
+    per_block = min(256, n_resamples, max(1, _BLOCK_ELEMENTS // binning.counts.size))
+    return per_block, max(1, _BLOCK_ELEMENTS // (per_block + binning.counts.shape[0]))
 
 
 def calibration_test(p, y, statistic: str = "conf_ece", m: int = DEFAULT_BINS,
@@ -262,13 +290,12 @@ def calibration_test(p, y, statistic: str = "conf_ece", m: int = DEFAULT_BINS,
     elif statistic == "cw_ece":
         binning = _Binning(p, m) if _binning is None else _binning
         observed_hits = y[:, None]
-        draw = _pseudo_labels(np.cumsum(p, axis=1))
+        draw = _pseudo_labels(lambda rows: np.cumsum(p[rows], axis=1), *p.shape)
     else:
         raise ValueError(f"unknown statistic {statistic!r}; use 'conf_ece' or 'cw_ece'")
 
-    observed = float(binning.gaps(observed_hits).mean(axis=1)[0])
-    resampled = _resampled_statistics(
-        p.shape[0], lambda u: binning.gaps(draw(u)).mean(axis=1), n_resamples, seed)
+    observed = float(binning.gaps(binning.hits(observed_hits)).mean(axis=1)[0])
+    resampled = _resampled_statistics(binning, draw, n_resamples, seed)
     return TestResult.from_statistics(observed, resampled, seed, plus_one=plus_one)
 
 

@@ -637,7 +637,7 @@ class TestEvalCommand:
     def test_mocked_resample_counts_give_0017(self, four_row_file, capsys, monkeypatch):
         from probcal import stattest
 
-        def fake_resampled(p, stat_fn, n_resamples, seed):
+        def fake_resampled(binning, draw, n_resamples, seed):
             # 170 of 10000 strictly above any observed statistic in [0, 1].
             return np.concatenate([np.full(170, 2.0), np.full(9830, -1.0)])
 
@@ -785,7 +785,7 @@ class TestTestCommand:
                                                 alpha, decision):
         from probcal import stattest
 
-        def fake_resampled(p, stat_fn, n_resamples, seed):
+        def fake_resampled(binning, draw, n_resamples, seed):
             return np.concatenate([np.full(170, 2.0), np.full(9830, -1.0)])
 
         monkeypatch.setattr(stattest, "_resampled_statistics", fake_resampled)
@@ -829,6 +829,16 @@ class TestCompareCommand:
         assert rc == 3
         assert out == ""
         assert "alpha must lie in (0, 1)" in err
+
+    def test_decouple_mu_needs_grid(self, prob_file, capsys):
+        path, _, _ = prob_file
+        rc = cli.main(["compare", str(path), "--methods", "dirichlet_l2,dirichlet_odir",
+                       "--repeats", "1", "--folds", "2", "--inner-folds", "2",
+                       "--resamples", "10", "--decouple-mu"])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert out == ""
+        assert "--decouple-mu needs --grid" in err
 
     def test_unknown_method(self, prob_file, capsys):
         path, _, _ = prob_file

@@ -10,7 +10,7 @@ from probcal.harness import HyperGrid, compare_methods, cross_val_fit, stratifie
 from probcal.metrics import log_loss
 from probcal.models import METHOD_INPUT, METHODS, EnsembleModel, fit_calibrator
 
-from conftest import random_simplex
+from conftest import random_simplex, traced_peak
 from oracles import sample_from_generative, sample_labels_from_rows
 
 
@@ -275,3 +275,18 @@ class TestCompareMethods:
         assert [r.method for r in results] == ["temperature", "dirichlet_l2"]
         for r in results:
             assert np.isfinite(r.log_loss)
+
+
+class TestEvaluateAndTest:
+    def test_memory_at_paper_scale(self):
+        # n = 10^4, k = 100: the measures and both tests on one binning hold
+        # the guide table (5.1 MB), the uint8 classwise bins (1 MB) and
+        # bounded tiles; no n x k float64 temporary. Measured 8.16 MiB; with
+        # whole-matrix losses and the full cumsum it was 23.69 MiB.
+        rng = np.random.default_rng(0)
+        p = random_simplex(rng, 10_000, 100)
+        y = rng.integers(0, 100, size=10_000)
+        (report, conf_t, cw_t), peak = traced_peak(
+            lambda: harness._evaluate_and_test(p, y, 15, 1e-12, 52, 1))
+        assert peak < 9.1 * 2**20
+        assert (report.p_conf_ece, report.p_cw_ece) == (conf_t.p_value, cw_t.p_value)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from probcal import stattest
-from probcal.metrics import classwise_ece, confidence_ece
+from probcal.metrics import _Binning, _confidence_binning, classwise_ece, confidence_ece
 from probcal.stattest import (
     TestResult,
     _argmax_hits,
@@ -14,7 +14,7 @@ from probcal.stattest import (
     counter_uniforms,
 )
 
-from conftest import random_simplex
+from conftest import random_simplex, traced_peak
 from oracles import sample_labels_from_rows
 
 U64_MAX = 2**64 - 1
@@ -72,10 +72,16 @@ def battery_data(seed, n, k):
     return p, y
 
 
+def draw_labels(cum, u):
+    """The draw's pseudo-labels for uniforms u (n, R) of every row of ``cum``,
+    in one tile that reads the rows of ``cum`` as given."""
+    return _pseudo_labels(lambda rows: cum[rows], *cum.shape)(u, slice(None))
+
+
 def pseudo_labels(cum, seed, resample_indices):
     """Pseudo-labels of the resamples ``resample_indices``, shape (n, R)."""
     u = counter_uniforms(seed, resample_indices[None, :], np.arange(cum.shape[0])[:, None])
-    return _pseudo_labels(cum)(u)
+    return draw_labels(cum, u)
 
 
 def dense_labels(cum, u):
@@ -208,7 +214,7 @@ class TestPseudoLabels:
         # Column-major on purpose: the draw takes a block of any layout.
         u = np.asfortranarray(np.concatenate([np.broadcast_to(u, (n, u.size)), cum[:, :-1]],
                                              axis=1))
-        assert np.array_equal(_pseudo_labels(cum)(u), dense_labels(cum, u))
+        assert np.array_equal(draw_labels(cum, u), dense_labels(cum, u))
 
     @pytest.mark.parametrize("k", [2, 3, 100, 257])
     def test_one_hot_rows_and_zero_columns(self, k):
@@ -227,7 +233,7 @@ class TestPseudoLabels:
         u = counter_uniforms(4, np.arange(64)[None, :], np.arange(n)[:, None])
         u[:, 0] = 0.0
         u[:, 1] = 1.0 - 2.0**-53
-        labels = _pseudo_labels(cum)(u)
+        labels = draw_labels(cum, u)
         assert np.array_equal(labels, dense_labels(cum, u))
         assert np.array_equal(labels[::3, 1], hot[::3])
         assert np.all(labels[:, 0] == 0)
@@ -248,9 +254,23 @@ class TestPseudoLabels:
         cum = np.array(ends)
         u = np.array([0.0, 0.5, 0.75, below - 2.0**-53, below])
         u = np.broadcast_to(u, (cum.shape[0], u.size)).copy()
-        labels = _pseudo_labels(cum)(u)
+        labels = draw_labels(cum, u)
         assert np.array_equal(labels, dense_labels(cum, u))
         assert np.any(labels == k - 1) and np.any(labels[:, -1] < k - 1)
+
+    @pytest.mark.parametrize("k", [3, 100])
+    def test_row_tiles_match_dense_draw(self, k):
+        # A tile's draw reads the guide rows and cumulative sums of its row
+        # slice alone; so does the confidence draw its rows' bounds.
+        rng = np.random.default_rng(300 + k)
+        p = rng.dirichlet(np.full(k, 0.5), size=50)
+        cum = np.cumsum(p, axis=1)
+        u = counter_uniforms(9, np.arange(8)[None, :], np.arange(50)[:, None])
+        draw, hits = _pseudo_labels(lambda rows: cum[rows], *cum.shape), _argmax_hits(p)
+        want = dense_labels(cum, u)
+        for rows in (slice(0, 1), slice(1, 17), slice(17, 49), slice(49, 50)):
+            assert np.array_equal(draw(u[rows], rows), want[rows])
+            assert np.array_equal(hits(u[rows], rows), want[rows] == p[rows].argmax(axis=1)[:, None])
 
     @pytest.mark.parametrize("k", [2, 100, 257])
     def test_single_row(self, k):
@@ -315,7 +335,7 @@ class TestConfidenceHits:
         p, hit = self.tied_rows(k)
         n = p.shape[0]
         u = counter_uniforms(2, np.arange(4)[None, :], np.arange(n)[:, None])
-        mask = _argmax_hits(p)(u)
+        mask = _argmax_hits(p)(u, slice(None))
         labels = reference_labels(np.cumsum(p, axis=1), 2, np.arange(4)).T
         assert np.array_equal(mask, labels == p.argmax(axis=1)[:, None])
         assert np.array_equal(mask[:, 0], hit)
@@ -335,28 +355,45 @@ class TestBlocks:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("statistic", ["conf_ece", "cw_ece"])
     def test_statistics_around_block_below_256(self, offset, statistic):
-        n, k = 2000, 10
-        per_block = stattest._BLOCK_ELEMENTS // n
-        assert 1 < per_block < 256
-        rng = np.random.default_rng(per_block)
+        # With 600 confidence bins or 100 x 15 classwise ones, the hit counts
+        # hold blocks below 256 resamples, and the tiles split the 2000 rows
+        # with a remainder.
+        n, k, m = (2000, 10, 600) if statistic == "conf_ece" else (2000, 100, 15)
+        rng = np.random.default_rng(k)
         p = random_simplex(rng, n, k)
         y = rng.integers(0, k, size=n)
+        binning = _confidence_binning(p, m) if statistic == "conf_ece" else _Binning(p, m)
+        per_block, per_tile = stattest._tile_shape(10**6, binning)
+        assert 1 < per_block < 256 and per_tile < n and n % per_tile
         n_resamples = per_block + offset
-        result = calibration_test(p, y, statistic, 15, n_resamples, seed=3)
+        result = calibration_test(p, y, statistic, m, n_resamples, seed=3)
         labels = reference_labels(np.cumsum(p, axis=1), 3, np.arange(n_resamples))
         np.testing.assert_allclose(result.resampled_statistics,
-                                   reference_statistic(p, labels, statistic, 15),
+                                   reference_statistic(p, labels, statistic, m),
                                    rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("statistic", ["conf_ece", "cw_ece"])
     def test_bit_identical_across_block_sizes(self, monkeypatch, statistic):
+        n = 300
         rng = np.random.default_rng(21)
-        p = random_simplex(rng, 300, 7)
-        y = rng.integers(0, 7, size=300)
-        runs = []
-        for budget in (1, 300 * 3, 300 * 17, 1 << 18):
+        p = random_simplex(rng, n, 7)
+        y = rng.integers(0, 7, size=n)
+        runs, shapes = [], set()
+        for budget in (1, 80, 300 * 3, 300 * 17, 1 << 18):
             monkeypatch.setattr(stattest, "_BLOCK_ELEMENTS", budget)
             runs.append(calibration_test(p, y, statistic, 10, 40, seed=6).resampled_statistics)
+            binning = _confidence_binning(p, 10) if statistic == "conf_ece" else _Binning(p, 10)
+            shapes.add(stattest._tile_shape(40, binning))
+        # Tile shapes set directly: one row per tile, a last tile of one row
+        # (300 = 23 x 13 + 1), a last tile of other sizes, one tile.
+        for shape in ((40, 1), (7, 13), (3, 299), (11, 64), (40, n)):
+            monkeypatch.setattr(stattest, "_tile_shape", lambda n_resamples, binning, s=shape: s)
+            runs.append(calibration_test(p, y, statistic, 10, 40, seed=6).resampled_statistics)
+            shapes.add(shape)
+        # Several tiles per block, with and without a remainder, and one.
+        tiles = {(-(-n // t), n % t) for _, t in shapes}
+        assert (1, 0) in tiles and any(c > 1 and r == 0 for c, r in tiles)
+        assert any(c > 1 and r == 1 for c, r in tiles) and any(c > 1 and r > 1 for c, r in tiles)
         for other in runs[1:]:
             assert other.tobytes() == runs[0].tobytes()
 
@@ -375,21 +412,15 @@ class TestBlocks:
         assert peak < 32 * 2**20
 
     def test_classwise_memory_at_paper_scale(self):
-        # n = 10^4, k = 100 as on CIFAR-100; R = 52 is two blocks of 26.
-        # The bisection draw that the guide table replaced peaked at
-        # 25.28 MB here (its padded float64 table alone is 10 MB); the
-        # guide table with cum and the int32 bin keys must stay within
-        # 1 MB of that.
+        # n = 10^4, k = 100 as on CIFAR-100. The per-row data are the guide
+        # table (5.1 MB) and the uint8 bins (1 MB); the tiles add about 2 MB.
+        # Measured 8.17 MiB; the test that held the full float64 cumsum and
+        # int32 bin keys peaked at 23.70 MiB.
         rng = np.random.default_rng(0)
         p = random_simplex(rng, 10_000, 100)
         y = rng.integers(0, 100, size=10_000)
-        tracemalloc.start()
-        try:
-            calibration_test(p, y, "cw_ece", 15, 52, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 26.28 * 2**20
+        _, peak = traced_peak(lambda: calibration_test(p, y, "cw_ece", 15, 52, seed=1))
+        assert peak < 9.1 * 2**20
 
 
 class TestBattery:
