@@ -18,6 +18,7 @@ interpretation points of the canonical form.
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -303,6 +304,23 @@ def _flush_to(P, dtype):
     return low
 
 
+def _ridged_inverse(blocks, dtype):
+    """The inverse of each matrix of ``blocks`` (last two axes) plus a ridge
+    of its mean diagonal times 1e-10, or 100 rounding units of ``dtype``.
+
+    The ridge keeps the inverse bounded where a class's features are
+    collinear (centred logits, say) and its block is singular or nearly so.
+    Float32 rounding of about 1e-7 in that null space needs 1.2e-5 to stay
+    out of the step: with 1e-10 the weights of an unpenalised matrix fit on
+    centred logits grew to 49, against 1.3.
+    """
+    width = blocks.shape[-1]
+    scale = np.trace(blocks, axis1=-2, axis2=-1) / width
+    relative = max(1e-10, 100.0 * float(np.finfo(dtype).eps))
+    ridge = relative * np.where(scale > 0.0, scale, 1.0)
+    return np.linalg.inv(blocks + ridge[..., None, None] * np.eye(width))
+
+
 class _HessianOperator:
     """The Hessian of ``_value_grad`` with every entry of [W | b] free,
     applied as products: one operator serves the Newton-CG steps of a fit.
@@ -343,7 +361,7 @@ class _HessianOperator:
 
     A float32 product is within about 1e-7 of the exact one, relative to
     its largest entry, and the CG solve it serves only has to reach the
-    forcing term of ``optim._cg_direction``.
+    forcing term of ``optim._steihaug``.
     """
 
     #: Growth of the CG product count, against the first solve after a
@@ -384,17 +402,7 @@ class _HessianOperator:
             self.blocks[a] = S @ S.T
         self.blocks /= n
         self.blocks[:, np.arange(width), np.arange(width)] += self.pen.reshape(k, width)
-        # A ridge times the block's mean diagonal keeps the inverse bounded
-        # where a class's features are collinear (centred logits, say) and
-        # its block is singular or nearly so. It is 1e-10 for float64 blocks.
-        # Float32 blocks and products carry rounding of about 1e-7 into that
-        # null space, which a ridge of 100 rounding units (1.2e-5) keeps from
-        # being amplified into the step: with 1e-10 the weights of an
-        # unpenalised matrix fit on centred logits grew to 49, against 1.3.
-        scale = np.trace(self.blocks, axis1=1, axis2=2) / width
-        relative = max(1e-10, 100.0 * float(np.finfo(self.XT.dtype).eps))
-        ridge = relative * np.where(scale > 0.0, scale, 1.0)
-        self._inverse = np.linalg.inv(self.blocks + ridge[:, None, None] * np.eye(width))
+        self._inverse = _ridged_inverse(self.blocks, self.XT.dtype)
 
     def matvec(self, v):
         self.products += 1
@@ -471,13 +479,15 @@ def fit_multinomial(feats, labels, reg, diagonal: bool = False,
     up to one vector added to every row; b returns with sum 0, W with
     column sums 0.
 
-    The structure picks the Newton solver. Diagonal W (vector scaling, beta
+    The fit is trust-region Newton-CG (``optim.minimize``), and the
+    structure picks the Hessian operator. Diagonal W (vector scaling, beta
     maps) uses the float64 dense Hessian of its 2k parameters, which costs
-    as much as one operator product, O(n k^2). Full W, at any k, uses one
-    ``_HessianOperator`` for the whole fit (Newton-CG). The operator's
-    products and block builds run in float32; the objective, the gradient,
-    the stopping rule, the line search and the CG recurrences stay float64,
-    so float32 changes only how closely each Newton step is solved.
+    as much as one full-W product, O(n k^2), with M = H (ridged) so that
+    CG takes a Newton step in a product or two. Full W, at any k, uses one
+    ``_HessianOperator`` for the whole fit. Its products and block builds
+    run in float32; the objective, the gradient, the stopping rule, the
+    trust-region test and the CG recurrences stay float64, so float32
+    changes only how closely each Newton step is solved.
 
     The core is class-major (see ``_prepare``): one float64 (k+1, n) copy
     of the features [x, 1], scores M XT of shape (k, n) reduced over axis
@@ -496,7 +506,9 @@ def fit_multinomial(feats, labels, reg, diagonal: bool = False,
     theta0 = M0[free]
     if diagonal:
         def hess(t):
-            return _hessian(t, XT, pen, free)
+            H = _hessian(t, XT, pen, free)
+            return SimpleNamespace(matvec=H.__matmul__,
+                                   precondition=_ridged_inverse(H, H.dtype).__matmul__)
     else:
         hess = _HessianOperator(XT, pen, dtype=np.float32).at
     result = minimize(

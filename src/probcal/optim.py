@@ -1,31 +1,23 @@
 """Deterministic convex minimization used by the fitted calibrators.
 
-One routine, a descent with Armijo backtracking, fits every calibrator
-with a smooth objective, the one-parameter temperature included. It
-takes Newton steps when given the Hessian, either as a dense matrix (solved
-by LU, or by least squares for the minimum-norm step when it is exactly
-singular) or as an operator (solved by truncated preconditioned conjugate
-gradients, Nocedal & Wright ch. 7), and gradient steps otherwise.
-Everything here is float64: the value, the gradient and its infinity-norm
-stopping rule, the line search, and the CG recurrences and forcing term.
-An operator may compute its products in lower precision; that changes
-only how closely CG solves a Newton step, which is an approximate solve
-anyway (inexact Newton, Dembo, Eisenstat & Steihaug 1982).
-It is free of randomness, so repeated runs on identical inputs produce
-bit-identical results.
+One loop, trust-region Newton-CG (the solver of LIBLINEAR's logistic
+regression, Lin, Weng & Keerthi 2008), fits every calibrator with a
+smooth objective, the one-parameter temperature included. Everything
+here is float64: the value, the gradient and its infinity-norm stopping
+rule, the trust-region test, and the CG recurrences and forcing term. An
+operator may compute its products in lower precision; that changes only
+how closely CG solves a Newton step, which is an approximate solve anyway
+(inexact Newton, Dembo, Eisenstat & Steihaug 1982). It is free of
+randomness, so repeated runs on identical inputs produce bit-identical
+results.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
-
-#: Armijo sufficient-decrease constant.
-ARMIJO_C = 1e-4
-#: Backtracking shrink factor for the line search.
-BACKTRACK = 0.5
-_MAX_BACKTRACKS = 60
 
 
 class OptimizationError(RuntimeError):
@@ -50,60 +42,60 @@ def warn_unconverged(result: OptimResult, stacklevel: int = 2) -> None:
                       stacklevel=stacklevel + 1)
 
 
-def _newton_direction(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Solve H d = -g by LU, or by minimum-norm least squares when LU finds
-    H exactly singular (a free direction of the objective, such as an
-    unpenalised intercept shift, can make it so)."""
-    try:
-        return np.linalg.solve(hessian, -grad)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(hessian, -grad, rcond=None)[0]
+def _steihaug(op, grad: np.ndarray, radius: float, tol: float):
+    """Approximately minimize the model g's + s'Hs/2 over ||s||_M <= radius
+    by Steihaug-Toint truncated CG (Steihaug 1983; Nocedal & Wright Alg.
+    7.2), preconditioned by ``op`` as in ``minimize``.
 
+    CG runs from s = 0 and stops on the boundary when its next iterate
+    would leave the ball or its direction has non-positive curvature, and
+    inside once the residual r = -g - H s falls below
+    max(eta * ||g||, 0.5 * tol) (2-norms), with the forcing term
+    eta = min(0.5, sqrt(||g||)) of inexact Newton: g + H s is the model's
+    gradient at the step, and ||r|| <= 0.5 * tol already puts it within
+    the outer ``tol``. s'Ms, s'Mp and p'Mp follow scalar recurrences, as
+    M z = r and r is orthogonal to the earlier directions (Gould, Lucidi,
+    Roma & Toint 1999), and H s = -g - r gives the model's decrease
+    -(g's + s'Hs/2) = s'(r - g)/2, so neither costs a product.
 
-def _cg_direction(op, grad: np.ndarray, tol: float) -> np.ndarray:
-    """Approximately solve H d = -g by preconditioned conjugate gradients.
-
-    ``op.matvec(v)`` gives H v and ``op.precondition(r)`` an approximation
-    of H^-1 r. The solve stops once the residual r = -g - H d falls below
-    max(eta * ||g||, 0.5 * tol) (2-norms) with the forcing term
-    eta = min(0.5, sqrt(||g||)), which gives superlinear convergence of the
-    outer iteration, or on non-positive curvature, returning the iterate so
-    far (-g if none). ``tol`` is the outer stopping rule's bound on the
-    gradient infinity-norm: g + H d is the gradient of the local quadratic
-    model at the step, and ||r||_inf <= ||r||_2 <= 0.5 * tol already puts
-    it within ``tol``, so solving further near the optimum is wasted.
+    Returns s, ||s||_M, the decrease and whether s is on the boundary.
     """
-    gnorm = float(np.linalg.norm(grad))
-    target = max(min(0.5, np.sqrt(gnorm)) * gnorm, 0.5 * tol)
-    d = np.zeros_like(grad)
+    gnorm = math.sqrt(grad @ grad)
+    target = max(min(0.5, math.sqrt(gnorm)) * gnorm, 0.5 * tol)
+    s = np.zeros_like(grad)
     r = -grad
-    z = op.precondition(r)
-    p = z
-    rz = float(r @ z)
-    for j in range(grad.size):
+    p = op.precondition(r)
+    rz = float(r @ p)
+    sMs, sMp, pMp = 0.0, 0.0, rz
+    for _ in range(grad.size):
         hp = op.matvec(p)
         curvature = float(p @ hp)
-        if curvature <= 0.0:
-            return d if j else -grad
-        alpha = rz / curvature
-        d = d + alpha * p
+        # tau >= 0 puts s + tau p on the boundary: ||s + tau p||_M = radius.
+        tau = (math.sqrt(sMp * sMp + pMp * max(radius * radius - sMs, 0.0)) - sMp) / pMp
+        boundary = curvature <= 0.0 or rz >= tau * curvature
+        alpha = tau if boundary else rz / curvature
+        s = s + alpha * p
         r = r - alpha * hp
-        if np.linalg.norm(r) <= target:
+        sMs += alpha * (2.0 * sMp + alpha * pMp)
+        if boundary or math.sqrt(r @ r) <= target:
             break
         z = op.precondition(r)
         rz, rz_old = float(r @ z), rz
-        p = z + (rz / rz_old) * p
-    return d
+        beta = rz / rz_old
+        sMp = beta * (sMp + alpha * pMp)
+        pMp = rz + beta * beta * pMp
+        p = z + beta * p
+    return s, math.sqrt(sMs), 0.5 * float(s @ (r - grad)), boundary
 
 
 def minimize(
     fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
     x0,
-    hess: Optional[Callable[[np.ndarray], object]] = None,
+    hess: Callable[[np.ndarray], object],
     tol: float = 1e-8,
     max_iter: int = 500,
 ) -> OptimResult:
-    """Minimize a smooth convex objective.
+    """Minimize a smooth convex objective by trust-region Newton-CG.
 
     Parameters
     ----------
@@ -111,33 +103,34 @@ def minimize(
         Maps a parameter vector to ``(value, gradient)``.
     x0 : array_like
         Starting point.
-    hess : callable, optional
-        Maps a parameter vector to its Hessian, either a dense 2-d array or
-        an operator with methods ``matvec(v)`` (returns H v) and
-        ``precondition(r)`` (approximates H^-1 r). A dense Hessian gives
-        Newton steps solved by LU (minimum-norm least squares if it is
-        exactly singular); an operator gives Newton steps solved by
-        truncated preconditioned conjugate gradients. Without ``hess`` the
-        steps follow the negative gradient.
+    hess : callable
+        Maps a parameter vector to its Hessian as an operator: ``matvec(v)``
+        returns H v, and ``precondition(r)`` M^-1 r for a positive definite
+        M; the trust region is a ball of the norm ||s||_M = sqrt(s'Ms).
     tol : float
         Convergence threshold on the gradient infinity-norm.
     max_iter : int
-        Iteration cap.
+        Cap on the accepted steps, ``iterations``. A rejected step shrinks
+        the radius at least fourfold, so rejections run out once a step no
+        longer moves x.
 
     Notes
     -----
-    An accepted step satisfies the Armijo condition with constant
-    ``ARMIJO_C``, or, where the value no longer resolves the decrease near
-    the optimum, raises it by at most a few ulps and shrinks the gradient
-    infinity-norm (approximate Armijo, Hager & Zhang 2005). The objective
-    is thus non-increasing up to rounding. A Newton step that is not a
-    descent direction falls back to the negative gradient.
+    Each step is a ``_steihaug`` solve, judged by rho, the ratio of the
+    objective's decrease to the model's (Nocedal & Wright Alg. 4.1). It is
+    accepted at rho >= 1e-4, or, where the value no longer resolves the
+    decrease near the optimum, when it raises the value by at most a few
+    ulps and shrinks the gradient (approximate Armijo, Hager & Zhang 2005);
+    a non-finite value or gradient rejects it. The radius becomes a quarter
+    of ||s||_M at rho < 1/4 and doubles at rho > 3/4 on the boundary. It
+    starts at 10 ||M^-1 g||_M, room for every Newton step of a fit, as it
+    grows only on the boundary: on the 69 fits of fit-dirichlet and
+    compare-k10 the longest step was up to 6.5 times the first
+    ||M^-1 g||_M, and a start of 1 or 3 times took up to 74% more products.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    x = np.asarray(x0, dtype=float).copy()
-    if x.ndim != 1:
-        x = x.ravel()
+    x = np.array(x0, dtype=float).ravel()
 
     value, grad = fun(x)
     if not (np.isfinite(value) and np.all(np.isfinite(grad))):
@@ -145,37 +138,29 @@ def minimize(
 
     iterations = 0
     gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
-    for _ in range(max_iter):
-        if gnorm <= tol:
-            break
-        if hess is not None:
-            h = hess(x)
-            direction = (_newton_direction(h, grad) if isinstance(h, np.ndarray)
-                         else _cg_direction(h, grad, tol))
-        if hess is None or float(direction @ grad) >= 0.0:
-            direction = -grad
-
-        slope = float(grad @ direction)
-        rounding = 4.0 * np.spacing(abs(value))
-        step = 1.0
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            candidate = x + step * direction
-            cand_value, cand_grad = fun(candidate)
-            if np.isfinite(cand_value) and np.all(np.isfinite(cand_grad)) and (
-                cand_value <= value + ARMIJO_C * step * slope
-                or (cand_value <= value + rounding
-                    and float(np.max(np.abs(cand_grad))) < gnorm)
-            ):
-                accepted = True
-                break
-            step *= BACKTRACK
-        if not accepted:
+    radius = None
+    while gnorm > tol and iterations < max_iter:
+        op = hess(x)
+        if radius is None:
+            radius = 10.0 * math.sqrt(grad @ op.precondition(grad))
+        step, length, predicted, boundary = _steihaug(op, grad, radius, tol)
+        candidate = x + step
+        cand_value, cand_grad = fun(candidate)
+        finite = bool(np.isfinite(cand_value) and np.all(np.isfinite(cand_grad)))
+        ratio = (value - cand_value) / predicted if finite and predicted > 0.0 else -np.inf
+        if ratio < 0.25:
+            radius = 0.25 * length
+        elif ratio > 0.75 and boundary:
+            radius *= 2.0
+        if finite and (ratio >= 1e-4 or (
+                cand_value <= value + 4.0 * np.spacing(abs(value))
+                and float(np.max(np.abs(cand_grad))) < gnorm)):
+            x, value, grad = candidate, cand_value, cand_grad
+            gnorm = float(np.max(np.abs(grad)))
+            iterations += 1
+        elif np.array_equal(candidate, x):
             # No further progress possible at floating-point resolution.
             break
-        x, value, grad = candidate, cand_value, cand_grad
-        gnorm = float(np.max(np.abs(grad)))
-        iterations += 1
 
     return OptimResult(
         params=x,
@@ -184,4 +169,3 @@ def minimize(
         gradient_norm=gnorm,
         converged=bool(gnorm <= tol),
     )
-

@@ -191,7 +191,7 @@ def fit_beta(scores, labels, lam: float = 1e-10,
     With two classes the score difference (W10 - W00) ln(1-s) + (W11 - W01)
     ln s + (b1 - b0) has three free coefficients whether W is full or
     diagonal, so the fit is two-class vector scaling on the clipped log
-    features (diagonal W, dense Newton steps). It is unconstrained
+    features (diagonal W, dense Hessian). It is unconstrained
     (coefficients may come out negative, the linear family is the
     superset); the reduction to (a, b, c) follows from the score difference.
     """

@@ -12,6 +12,7 @@ implemented here.
 import functools
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -66,9 +67,10 @@ def fit_temperature(z, labels, t_min: float = T_MIN, t_max: float = T_MAX,
     returns t_min, else if it still rises at t_max, t_max, with a warning
     either way: the data want unbounded sharpening (every prediction
     correct) or flattening (predictions uninformative); a loss flat in beta
-    gives t_min. Otherwise Newton's method starts at the geometric middle
-    of [1/t_max, 1/t_min] (beta = 1 by default), and no step goes more than
-    halfway to the end it heads for: in confident data the curvature nears 0.
+    gives t_min. Otherwise the trust-region fit starts at the geometric
+    middle of [1/t_max, 1/t_min] (beta = 1 by default) with M = I, so that
+    the radius bounds the step in beta: in confident data the curvature h
+    nears 0, and a radius in the norm of M = h would allow 10 g / h.
     """
     if not 0.0 < t_min < t_max:
         raise ValueError(f"need 0 < t_min < t_max, got [{t_min}, {t_max}]")
@@ -97,8 +99,8 @@ def fit_temperature(z, labels, t_min: float = T_MIN, t_max: float = T_MAX,
         return float((top + np.log1p(rest + np.expm1(-top))).mean()), mean.mean(), var.mean()
 
     def hessian(b):
-        _, g, h = moments(b[0])
-        return np.array([[max(h, 2.0 * g / (b[0] - lo), -2.0 * g / (hi - b[0]))]])
+        h = moments(b[0])[2]
+        return SimpleNamespace(matvec=lambda v: h * v, precondition=lambda r: r)
 
     lo, hi = 1.0 / t_max, 1.0 / t_min
     if moments(hi)[1] > 0.0 > moments(lo)[1]:
@@ -149,10 +151,10 @@ def fit_affine_logit(z, labels, mode: str = "matrix",
     the same core with b as the weight of a constant feature, so the result
     is a ``LinearParams`` (``AffineLogitParams`` names the same type). Both
     modes start from the identity (W = I, b = 0), or from the map
-    ``_start`` when a grid search fits its points as a path, and use Newton
-    steps with a backtracking line search (``dirichlet.fit_multinomial``):
-    vector scaling solves each step with the dense Hessian, and matrix
-    scaling, at any k, uses Newton-CG on Hessian-vector products.
+    ``_start`` when a grid search fits its points as a path, and take
+    trust-region Newton-CG steps (``dirichlet.fit_multinomial``): vector
+    scaling on its dense Hessian, and matrix scaling, at any k, on
+    Hessian-vector products.
     """
     if mode not in ("matrix", "vector"):
         raise ValueError(f"mode must be 'matrix' or 'vector', got {mode!r}")

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from probcal.core import clip_probabilities, softmax
+from probcal.core import DEFAULT_CLIP_FLOOR, clip_probabilities, softmax
 from probcal.dirichlet import (
     CanonicalParams,
     GenerativeParams,
@@ -514,6 +514,31 @@ class TestFit:
                 fit_affine_logit(z, sample_labels_from_rows(rng, softmax(z * 0.6, axis=1)),
                                  mode="vector", reg=OdirConfig(0.0, 1e-3))
         assert dense
+
+    @pytest.mark.parametrize("rows, k", [
+        pytest.param("zero column", 3, marks=pytest.mark.xfail(
+            strict=True, raises=RuntimeWarning, reason="float32 operator, ROADMAP item 4")),
+        ("zero column", 10), ("zero column", 20), ("one-hot", 3), ("one-hot", 10),
+        ("one-hot", 20)])
+    def test_fit_on_exact_zeros_reaches_tol(self, rng, rows, k):
+        # Exact zeros clip to the default floor, 2.2e-308, so the features
+        # ln q reach -708 and the curvature at the identity start is near 0
+        # along them: a zero column 0, or one-hot rows at each row's most
+        # probable class, with labels drawn from the rows before the change.
+        # Every fit reaches tol with no RuntimeWarning (an error here). The
+        # k = 3 zero column stops short with float32 products; it must warn.
+        q = random_simplex(rng, 600, k)
+        y = sample_labels_from_rows(rng, q)
+        if rows == "zero column":
+            q[:, 0] = 0.0
+            q /= q.sum(axis=1, keepdims=True)
+        else:
+            q = np.eye(k)[q.argmax(axis=1)]
+        q = clip_probabilities(q, DEFAULT_CLIP_FLOOR)
+        reg = OdirConfig(1e-2, 1e-2)
+        fitted = fit(q, y, reg)
+        _, grad = objective_and_gradient(fitted, q, y, reg)
+        assert np.max(np.abs(grad)) <= 1e-8
 
     def test_gradient_zero_at_optimum(self, rng):
         q = random_simplex(rng, 200, 3)

@@ -16,7 +16,8 @@ from probcal.scaling import (
     temperature_as_dirichlet,
     zero_offdiagonal,
 )
-from probcal.dirichlet import apply_linear, OdirConfig
+from probcal.dirichlet import (OdirConfig, _free_mask, _penalty_matrix, _prepare, _value_grad,
+                               apply_linear)
 
 from oracles import central_difference, sample_labels_from_rows
 
@@ -73,7 +74,8 @@ class TestFitTemperature:
     def test_many_confident_rows_converge(self):
         # 1000 correct rows at margin 200 over 9 rivals, and one wrong row:
         # the optimum is exp(200 / t) = 9000. The loss is near 0.01, so it
-        # must be resolved to a few ulps for the line search to stop at tol.
+        # must be resolved to a few ulps for the trust-region test to judge
+        # the last steps, whose decrease is that small.
         k, margin = 10, 200.0
         z = np.zeros((1001, k))
         z[np.arange(1001), np.arange(1001) % k] = margin
@@ -236,15 +238,36 @@ class TestFitAffineLogit:
         assert np.max(np.abs(fitted.W)) < 5.0
 
     def test_vector_fit_converges_at_rounding_resolution(self):
-        # Near this fit's optimum the full Newton step cuts the gradient to
-        # ~1e-17 but raises the value by one unit in the last place; Armijo
-        # alone rejects it and every backtrack, and the fit stalls above tol.
+        # tol = 1e-10 on a loss near 0.81: near the optimum a step's decrease
+        # can fall to the loss's rounding, where a step that raises the value
+        # by an ulp but shrinks the gradient must still be accepted, or the
+        # fit stalls above tol.
         local = np.random.default_rng(3)
         z = local.normal(size=(200, 3)) * 2.0
         y = sample_labels_from_rows(local, softmax(z * 0.6, axis=1))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             fit_affine_logit(z, y, mode="vector", reg=OdirConfig(0.0, 0.0), tol=1e-10)
+
+    @pytest.mark.parametrize("mode", ["matrix", "vector"])
+    @pytest.mark.parametrize("margin", [50.0, 200.0])
+    def test_confident_logits_reach_tol(self, mode, margin):
+        # Each row one logit at the margin above nine zeros, labelled with
+        # that class but for one row: at the identity start the curvature is
+        # near 0, so the Newton step is far too long. Both modes reach tol
+        # with no RuntimeWarning (an error here).
+        k, n = 10, 1001
+        z = np.zeros((n, k))
+        z[np.arange(n), np.arange(n) % k] = margin
+        y = np.arange(n) % k
+        y[-1] = (y[-1] + 1) % k
+        reg = OdirConfig(1e-3, 1e-3)
+        fitted = fit_affine_logit(z, y, mode=mode, reg=reg)
+        free = _free_mask(k, mode == "vector")
+        XT, labels = _prepare(z, y)
+        theta = np.column_stack([fitted.W, fitted.b])[free]
+        _, grad = _value_grad(theta, XT, labels, _penalty_matrix(reg, k), free)
+        assert np.max(np.abs(grad)) <= 1e-8
 
     @pytest.mark.parametrize("mode, k, reg", [
         ("vector", 3, OdirConfig(0.0, 0.0)),

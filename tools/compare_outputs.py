@@ -10,8 +10,11 @@ Runs the CLI of each tree on the same seeded inputs and compares:
   ``uncalibrated`` models and outputs at n = 10^4, k = 100, larger
   Newton-CG fits (``dirichlet_l2`` and ``dirichlet_odir`` at k = 30,
   ``matrix_odir`` at k = 20) and a small one (``dirichlet_odir`` at k = 3),
-  each once and by a 3-fold two-point lambda grid, and ``ovr_beta`` at clip
-  floor 1e-12 on rows with exact zeros and ones;
+  each once and by a 3-fold two-point lambda grid, ``ovr_beta`` at clip
+  floor 1e-12 on rows with exact zeros and ones, and fits whose features
+  make the curvature at the start near 0: ``dirichlet_odir`` on k = 10
+  rows with an exact-zero column (ln q = -708 at the default floor) and
+  ``matrix_odir`` on k = 10 logits with a margin of 200;
 - every p-value, bit for bit (``float.hex``).
 
 Usage, with the other commit checked out elsewhere (by ``git clone``)::
@@ -22,7 +25,8 @@ Usage, with the other commit checked out elsewhere (by ``git clone``)::
 differs and prints one line per comparison. A line for an output that
 differs also gives the largest absolute difference between corresponding
 numbers of the two trees' stdout and files, or "structure differs" where
-their text apart from the numbers is not the same.
+their text apart from the numbers is not the same. Stderr is not compared:
+a fit that stops short warns there and is compared by its outputs.
 """
 
 import argparse
@@ -70,10 +74,28 @@ def sparse_rows(seed, n, k):
     return p, y
 
 
+def zero_column_rows(seed, n, k):
+    """``datagen.dirichlet_rows`` with column 0 set to 0, renormalised."""
+    p, y = datagen.dirichlet_rows(seed, n, k, 2.0)
+    p[:, 0] = 0.0
+    return p / p.sum(axis=1, keepdims=True), y
+
+
+def confident_logits(n, k, margin):
+    """Rows of one logit at ``margin`` above k - 1 zeros, in turn at each
+    class, labelled with that class but for the last row."""
+    z = np.zeros((n, k))
+    z[np.arange(n), np.arange(n) % k] = margin
+    y = np.arange(n) % k
+    y[-1] = (y[-1] + 1) % k
+    return z, y
+
+
 def inputs(workdir, seed):
     """Seeded prediction files: probabilities at k = 3, 10, 30, 100 and 300,
-    a k = 100 file with zero columns and one-hot rows, logits at k = 10 and
-    20, and probabilities at the paper's size, n = 10^4 and k = 100.
+    a k = 100 file with zero columns and one-hot rows, a k = 10 file with a
+    zero column, logits at k = 10 and 20 and confident ones at k = 10, and
+    probabilities at the paper's size, n = 10^4 and k = 100.
     At n = 2000 the k = 100 files take resample blocks below 256. The
     k = 300 file's pseudo-labels pass 255, so its guide table holds two-byte
     counts; the sparse file repeats cumulative sums, so many draws fall in
@@ -84,9 +106,11 @@ def inputs(workdir, seed):
         "p30.csv": (datagen.dirichlet_rows(seed, 1500, 30, 2.0), "p_"),
         "p100.csv": (datagen.dirichlet_rows(seed, 2000, 100, 2.0), "p_"),
         "p100sparse.csv": (sparse_rows(seed, 2000, 100), "p_"),
+        "p10zero.csv": (zero_column_rows(seed, 600, 10), "p_"),
         "p300.csv": (datagen.dirichlet_rows(seed, 1000, 300, 2.0), "p_"),
         "z10.csv": (datagen.gaussian_logits(seed, 1000, 10, 0.6), "z_"),
         "z20.csv": (datagen.gaussian_logits(seed, 1500, 20, 0.6), "z_"),
+        "z10confident.csv": (confident_logits(1001, 10, 200.0), "z_"),
         "p100n10000.csv": (datagen.dirichlet_rows(seed, 10000, 100, 2.0), "p_"),
     }
     for name, ((X, y), prefix) in cases.items():
@@ -127,6 +151,9 @@ def jobs(seed):
     # Beta maps clip their features at the model's floor; the exact zeros
     # and ones of the sparse file meet it.
     cases += [("ovr_beta", "p100sparse.csv", "ovr_beta k100 floor", ["--clip-floor", "1e-12"], [])]
+    # Near-zero curvature at the identity start.
+    cases += [("dirichlet_odir", "p10zero.csv", "dirichlet_odir k10 zero column", [], []),
+              ("matrix_odir", "z10confident.csv", "matrix_odir k10 confident", [], [])]
     for method, data, label, flags, grid in cases:
         for folds in ("1", "3"):
             stem = f"{label.replace(' ', '-')}-{folds}"
