@@ -411,7 +411,7 @@ def cmd_apply(args) -> int:
     X, kind, _ = read_predictions(args.input)
     if kind != model.input_kind:
         raise ValueError(f"model expects {model.input_kind} input, file contains {kind}")
-    P = model.apply(X)
+    P = model.apply(X, out=X)
     write_probabilities(args.output, P)
     print(f"calibrated {P.shape[0]} rows -> {args.output}")
     return EXIT_OK

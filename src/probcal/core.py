@@ -134,10 +134,11 @@ def clip_probabilities(p, floor: float = DEFAULT_CLIP_FLOOR) -> np.ndarray:
     return out[0] if single_row else out
 
 
-def softmax(v, axis: int = -1) -> np.ndarray:
-    """Overflow-safe softmax along ``axis`` (max is subtracted first)."""
+def softmax(v, axis: int = -1, out=None) -> np.ndarray:
+    """Overflow-safe softmax along ``axis`` (max is subtracted first), into
+    ``out`` if given, which may be v itself."""
     v = np.asarray(v, dtype=float)
-    e = v - np.max(v, axis=axis, keepdims=True)
+    e = np.subtract(v, np.max(v, axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=axis, keepdims=True)
     return e

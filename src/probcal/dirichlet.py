@@ -19,10 +19,11 @@ interpretation points of the canonical form.
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import Optional
 
 import numpy as np
 
-from .core import ROW_SUM_TOL, as_label_vector, log_transform, softmax
+from .core import ROW_SUM_TOL, as_label_vector, clip_probabilities, log_transform, softmax
 from .optim import minimize, warn_unconverged
 
 
@@ -143,12 +144,24 @@ def softmax_layer(x, W, b) -> np.ndarray:
     """softmax(W x + b) of each row x of a 2-d feature matrix."""
     if x.shape[1] != W.shape[1]:
         raise ValueError(f"expected {W.shape[1]} classes, got {x.shape[1]}")
-    return softmax(x @ W.T + b, axis=1)
+    z = x @ W.T
+    z += b
+    return softmax(z, axis=1, out=z)
 
 
-def apply_linear(q, params: LinearParams) -> np.ndarray:
-    """Apply softmax(W ln q + b) to one or many probability rows."""
-    out = softmax_layer(np.atleast_2d(log_transform(q)), params.W, params.b)
+def apply_linear(q, params: LinearParams, floor: Optional[float] = None) -> np.ndarray:
+    """Apply softmax(W ln q + b) to one or many probability rows.
+
+    With ``floor``, q is clipped there first (``clip_probabilities``) and
+    ln q is taken in the clipped copy, so the map holds one array of q's
+    size beside its output.
+    """
+    if floor is None:
+        x = log_transform(q)
+    else:
+        x = clip_probabilities(q, floor)
+        np.log(x, out=x)
+    out = softmax_layer(np.atleast_2d(x), params.W, params.b)
     return out[0] if np.ndim(q) == 1 else out
 
 

@@ -14,7 +14,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import dirichlet, ovr, scaling
-from .core import DEFAULT_CLIP_FLOOR, LOGITS, PROBABILITIES, clip_probabilities
+from .core import (DEFAULT_CLIP_FLOOR, LOGITS, PROBABILITIES, as_logit_matrix,
+                   as_probability_matrix, clip_probabilities)
+from .metrics import _chunks
 
 SCHEMA_ID = "probcal-model-v1"
 
@@ -56,7 +58,7 @@ def _dirichlet_spec(reg, defaults) -> MethodSpec:
         input=PROBABILITIES,
         fit=lambda X, y, h, floor, start: dirichlet.fit(
             clip_probabilities(X, floor), y, reg(h), _start=start),
-        apply=lambda params, X, floor: dirichlet.apply_linear(clip_probabilities(X, floor), params),
+        apply=lambda params, X, floor: dirichlet.apply_linear(X, params, floor),
         to_json=_weights_to_json,
         from_json=_weights_from_json,
         defaults=defaults,
@@ -159,6 +161,35 @@ def _binary_from_jsonable(obj: dict):
     raise ValueError(f"unknown binary calibrator type {t!r}")
 
 
+#: input kind -> the check of a whole input that every method of the kind
+#: makes first.
+_VALIDATORS = {PROBABILITIES: as_probability_matrix, LOGITS: as_logit_matrix}
+
+
+def _apply_by_chunks(apply_rows, X, k: int, input_kind: str, out):
+    """``apply_rows`` of the rows of X, a row chunk at a time, into ``out``.
+
+    Every calibration map is row-wise, so each chunk's rows come out as
+    they would from one call on the whole of X. The whole of X is checked
+    first, so an invalid input raises the error a single call would and
+    writes nothing into ``out``; ``out`` may be X itself. Without ``out``,
+    an X of one chunk (or a single 1-d row) returns ``apply_rows(X)``
+    itself, and a larger one a new array.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.shape[-1] != k:
+        raise ValueError(f"model expects {k} classes, input has {X.shape[-1]}")
+    _VALIDATORS[input_kind](X)
+    chunks = _chunks(len(X), k) if X.ndim == 2 else [Ellipsis]
+    if out is None:
+        if len(chunks) == 1:
+            return apply_rows(X)
+        out = np.empty_like(X)
+    for rows in chunks:
+        out[rows] = apply_rows(X[rows])
+    return out
+
+
 def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
@@ -199,11 +230,16 @@ class CalibratorModel:
     def input_kind(self) -> str:
         return METHOD_INPUT[self.method]
 
-    def apply(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        cols = X.shape[-1]
-        if cols != self.k:
-            raise ValueError(f"model expects {self.k} classes, input has {cols}")
+    def apply(self, X, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Calibrated probability rows of X, written into ``out`` if given.
+
+        X is one row or an (n, k) matrix of the model's input kind. The map
+        runs a row chunk at a time, so besides X and ``out`` it holds one
+        chunk's working arrays; ``out=X`` calibrates in place.
+        """
+        return _apply_by_chunks(self._apply_rows, X, self.k, self.input_kind, out)
+
+    def _apply_rows(self, X) -> np.ndarray:
         return method_spec(self.method).apply(self.params, X, self.clip_floor)
 
     def to_dict(self) -> dict:
@@ -271,16 +307,21 @@ class EnsembleModel:
     def hyperparams(self) -> dict:
         return self.members[0].hyperparams
 
-    def apply(self, X) -> np.ndarray:
-        """Mean of the members' outputs, renormalized.
+    def apply(self, X, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Mean of the members' outputs, renormalized, written into ``out``
+        if given.
 
-        The mean is a running sum over the members in order, divided by
-        their count, so one member's output is held beside it at a time;
-        the additions are those of ``np.mean`` along the member axis.
+        As ``CalibratorModel.apply``, a row chunk at a time: each chunk's
+        mean is a running sum over the members in order, divided by their
+        count, whose additions are those of ``np.mean`` along the member
+        axis.
         """
-        total = self.members[0].apply(X)
+        return _apply_by_chunks(self._apply_rows, X, self.k, self.input_kind, out)
+
+    def _apply_rows(self, X) -> np.ndarray:
+        total = self.members[0]._apply_rows(X)
         for m in self.members[1:]:
-            total += m.apply(X)
+            total += m._apply_rows(X)
         total /= len(self.members)
         total /= total.sum(axis=-1, keepdims=True)
         return total

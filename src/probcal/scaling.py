@@ -51,7 +51,8 @@ def apply_temperature(z, params) -> np.ndarray:
     t = _as_temperature(params)
     single = np.asarray(z).ndim == 1
     z = as_logit_matrix(z)
-    out = softmax(z / t, axis=1)
+    out = z / t
+    softmax(out, axis=1, out=out)
     return out[0] if single else out
 
 
@@ -63,7 +64,8 @@ def fit_temperature(z, labels, t_min: float = T_MIN, t_max: float = T_MAX,
     fitted as beta = 1/t by ``optim.minimize``: the loss is convex in beta,
     with gradient mean(E_p[z] - z_y) and curvature mean(Var_p[z]) under
     p = softmax(beta z). ``tol`` bounds the gradient's magnitude; a fit
-    stopping short of it warns. If the loss still falls at t_min, the fit
+    stopping short of it warns, and gives t_max if it stopped at beta <= 0,
+    on the side of flattening. If the loss still falls at t_min, the fit
     returns t_min, else if it still rises at t_max, t_max, with a warning
     either way: the data want unbounded sharpening (every prediction
     correct) or flattening (predictions uninformative); a loss flat in beta
@@ -107,7 +109,9 @@ def fit_temperature(z, labels, t_min: float = T_MIN, t_max: float = T_MAX,
         result = minimize(lambda b: (moments(b[0])[0], np.array([moments(b[0])[1]])),
                           [np.sqrt(lo * hi)], hess=hessian, tol=tol)
         warn_unconverged(result)
-        return TemperatureParams(t=float(np.clip(1.0 / result.params[0], t_min, t_max)))
+        beta = result.params[0]
+        t = t_max if beta <= 0.0 else float(np.clip(1.0 / beta, t_min, t_max))
+        return TemperatureParams(t=t)
     t = t_min if moments(hi)[1] <= 0.0 else t_max
     warnings.warn(f"fitted temperature {t:g} sits on the search bound [{t_min:g}, {t_max:g}]",
                   RuntimeWarning, stacklevel=2)

@@ -604,6 +604,24 @@ class TestApplyCommand:
         assert rc == 3
         assert "model expects 4 classes, input has 3" in capsys.readouterr().err
 
+    def test_row_sum_error_names_the_worst_row_of_the_file(self, tmp_path, capsys):
+        # n = 10^4, k = 100 spans many row chunks; the worst row is in the
+        # last of them, a lesser one in the first.
+        from probcal.models import CalibratorModel
+
+        q = np.full((10_000, 100), 0.01)
+        q[5, 0] += 2e-9
+        q[9500, 0] += 5e-9
+        data_path = tmp_path / "off.csv"
+        write_csv(data_path, q)
+        model_path = tmp_path / "uncal.json"
+        cli.save_model(model_path, CalibratorModel(method="uncalibrated", k=100, params=None))
+        out = tmp_path / "out.csv"
+        rc = cli.main(["apply", str(model_path), str(data_path), "-o", str(out)])
+        assert rc == 3
+        assert "worst deviation 5e-09" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_model_file(self, tmp_path, prob_file):
         path, _, _ = prob_file
         bad = tmp_path / "bad.json"

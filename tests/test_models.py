@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from probcal.core import clip_probabilities, softmax
+from probcal.core import clip_probabilities, log_transform, softmax
+from probcal.dirichlet import LinearParams
+from probcal.metrics import _chunks
 from probcal.models import (
     METHOD_INPUT,
+    METHODS,
     CalibratorModel,
     EnsembleModel,
     fit_calibrator,
+    method_spec,
     model_from_dict,
 )
 from probcal.ovr import IsotonicMap, OneVsRestModel, fit_isotonic
@@ -97,6 +101,106 @@ class TestEnsembleApply:
         assert peak <= 2.5 * out.nbytes
         mean = np.mean([m.apply(q) for m in members], axis=0)
         assert out.tobytes() == (mean / mean.sum(axis=1, keepdims=True)).tobytes()
+
+
+class TestChunkedApply:
+    """Applies run a row chunk at a time and give the bytes of one call of
+    the method on the whole input."""
+
+    N, K = 20_000, 10
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = np.random.default_rng(24)
+        q = random_simplex(rng, self.N, self.K)
+        z = 2.0 * rng.normal(size=(self.N, self.K))
+        assert len(_chunks(self.N, self.K)) >= 3
+        return {"probabilities": (q, sample_labels_from_rows(rng, q)),
+                "logits": (z, sample_labels_from_rows(rng, softmax(z, axis=1)))}
+
+    @staticmethod
+    def whole(model, X):
+        return method_spec(model.method).apply(model.params, X, model.clip_floor)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_single_model_matches_whole_array(self, data, method):
+        X, y = data[METHOD_INPUT[method]]
+        model = fit_calibrator(method, X[:500], y[:500], method_spec(method).defaults)
+        want = self.whole(model, X)
+        assert model.apply(X).tobytes() == want.tobytes()
+        inplace = X.copy()
+        assert model.apply(inplace, out=inplace) is inplace
+        assert inplace.tobytes() == want.tobytes()
+        for row in (X[0], X[-1]):
+            got = model.apply(row)
+            assert got.shape == row.shape
+            assert got.tobytes() == self.whole(model, row).tobytes()
+            assert model.apply(row, out=row.copy()).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_ensemble_matches_whole_array(self, data, method):
+        X, y = data[METHOD_INPUT[method]]
+        members = [fit_calibrator(method, X[f:600:3], y[f:600:3], method_spec(method).defaults)
+                   for f in range(3)]
+        ensemble = EnsembleModel(members)
+        mean = np.mean([self.whole(m, X) for m in members], axis=0)
+        want = mean / mean.sum(axis=1, keepdims=True)
+        assert ensemble.apply(X).tobytes() == want.tobytes()
+        inplace = X.copy()
+        assert ensemble.apply(inplace, out=inplace).tobytes() == want.tobytes()
+        row_mean = np.mean([self.whole(m, X[7]) for m in members], axis=0)
+        assert ensemble.apply(X[7]).tobytes() == (row_mean / row_mean.sum()).tobytes()
+
+    def test_layers_give_out_of_place_bytes(self, data):
+        # The softmax layers work in place in their own arrays.
+        (q, y), (z, labels) = data["probabilities"], data["logits"]
+        dirichlet = fit_calibrator("dirichlet_l2", q[:500], y[:500], {"lam": 1e-3})
+        W, b = dirichlet.params.W, dirichlet.params.b
+        want = softmax(log_transform(clip_probabilities(q, dirichlet.clip_floor)) @ W.T + b, axis=1)
+        assert dirichlet.apply(q).tobytes() == want.tobytes()
+        matrix = fit_calibrator("matrix_odir", z[:500], labels[:500], {"lam": 1e-2, "mu": 1e-2})
+        W, b = matrix.params.W, matrix.params.b
+        assert matrix.apply(z).tobytes() == softmax(z @ W.T + b, axis=1).tobytes()
+        temperature = fit_calibrator("temperature", z[:500], labels[:500])
+        want = softmax(z / temperature.params.t, axis=1)
+        assert temperature.apply(z).tobytes() == want.tobytes()
+
+    def test_one_chunk_without_out_makes_no_copy(self, data):
+        q, y = data["probabilities"]
+        model = fit_calibrator("uncalibrated", q[:500], y[:500])
+        _, whole = traced_peak(lambda: self.whole(model, q[:500]))
+        out, peak = traced_peak(lambda: model.apply(q[:500]))
+        assert peak < whole + out.nbytes / 2
+
+    def test_invalid_input_raises_the_whole_array_error_and_writes_nothing(self, data):
+        q, y = data["probabilities"]
+        model = fit_calibrator("ovr_isotonic", q[:500], y[:500])
+        bad = q.copy()
+        bad[3, 0] += 2e-9
+        bad[-3, 0] += 5e-9
+        with pytest.raises(ValueError, match=r"worst deviation 5e-09"):
+            self.whole(model, bad)
+        out = bad.copy()
+        with pytest.raises(ValueError, match=r"worst deviation 5e-09"):
+            model.apply(bad, out=out)
+        assert out.tobytes() == bad.tobytes()
+
+    def test_in_place_apply_holds_little_beside_its_input(self):
+        # n = 10^4, k = 100: the map holds one row chunk's working arrays.
+        rng = np.random.default_rng(2019)
+        q = peaked_simplex(rng, 10_000, 100)
+        y = sample_labels_from_rows(rng, q)
+        dirichlet = [CalibratorModel(method="dirichlet_l2", k=100, params=LinearParams(
+            W=np.eye(100) + 0.01 * rng.normal(size=(100, 100)), b=0.1 * rng.normal(size=100)))
+            for _ in range(3)]
+        models = [dirichlet[0], fit_calibrator("ovr_isotonic", q[:2000], y[:2000]),
+                  EnsembleModel(dirichlet)]
+        for model in models:
+            want = model.apply(q)
+            X = q.copy()
+            out, peak = traced_peak(lambda: model.apply(X, out=X))
+            assert out is X and X.tobytes() == want.tobytes()
+            assert peak <= 0.25 * q.nbytes, model.method
 
 
 class TestSerialization:

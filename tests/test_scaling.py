@@ -131,6 +131,22 @@ class TestFitTemperature:
             fitted = fit_temperature(THREE_ROWS, THREE_LABELS)
         assert fitted.t == 1.0
 
+    @pytest.mark.parametrize("beta", [-0.3, 0.0])
+    def test_fit_stopped_at_nonpositive_beta_gives_t_max(self, monkeypatch, beta):
+        # beta <= 0 is no temperature: the fit stopped short on the side of
+        # flattening, where 1 / beta would give t_min or divide by zero.
+        from probcal import optim, scaling
+
+        stopped = optim.OptimResult(params=np.array([beta]), final_value=1.0, iterations=3,
+                                    gradient_norm=0.1, converged=False)
+        monkeypatch.setattr(scaling, "minimize", lambda *args, **kwargs: stopped)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fitted = fit_temperature(THREE_ROWS, THREE_LABELS)
+        assert [str(w.message) for w in caught] == [
+            "calibration fit stopped at gradient norm 1.00e-01 after 3 iterations"]
+        assert fitted.t == scaling.T_MAX
+
     def test_rejects_bad_bounds(self):
         for t_min, t_max in ((0.0, 1.0), (2.0, 1.0)):
             with pytest.raises(ValueError):

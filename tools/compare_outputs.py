@@ -7,7 +7,9 @@ Runs the CLI of each tree on the same seeded inputs and compares:
   byte for byte, ``eval`` and ``test`` also at n = 10^4, k = 100;
 - one model file per method tag, byte for byte apart from ``created``,
   and the CSV that ``apply`` writes with it, plus ``ovr_isotonic`` and
-  ``uncalibrated`` models and outputs at n = 10^4, k = 100, larger
+  ``uncalibrated`` models and outputs at n = 10^4, k = 100, a
+  ``dirichlet_l2`` model fitted at n = 2000, k = 100 and applied at
+  n = 10^4 (its matrix product over many row chunks), larger
   Newton-CG fits (``dirichlet_l2`` and ``dirichlet_odir`` at k = 30,
   ``matrix_odir`` at k = 20) and a small one (``dirichlet_odir`` at k = 3),
   each once and by a 3-fold two-point lambda grid, ``ovr_beta`` at clip
@@ -137,11 +139,14 @@ def jobs(seed):
                     "--resamples", "100", "--seed", str(seed), "--format", fmt]
             out.append((f"compare {data} {fmt}", argv + (["--methods", methods] if methods else []),
                         []))
-    # (method, input, label, flags of every fit, flags of the 3-fold fit)
+    # (method, input of the fit, label, flags of every fit, flags of the
+    # 3-fold fit, input of the apply when not that of the fit)
     cases = [(m, "z10.csv" if m in LOGIT_METHODS else "p10.csv", m, [], []) for m in METHODS]
-    # At the paper's size the applies' working arrays are largest.
+    # At the paper's size the applies' working arrays are largest, and they
+    # run over many row chunks.
     cases += [(m, "p100n10000.csv", f"{m} k100", [], [])
               for m in ("ovr_isotonic", "uncalibrated")]
+    cases += [("dirichlet_l2", "p100.csv", "dirichlet_l2 k100", [], [], "p100n10000.csv")]
     # Every full-W fit solves its Newton steps by CG, from k = 3 (12
     # parameters) to k = 30 (930).
     lambdas = ["--grid", "lambda=1e-3,1e-1"]
@@ -154,7 +159,7 @@ def jobs(seed):
     # Near-zero curvature at the identity start.
     cases += [("dirichlet_odir", "p10zero.csv", "dirichlet_odir k10 zero column", [], []),
               ("matrix_odir", "z10confident.csv", "matrix_odir k10 confident", [], [])]
-    for method, data, label, flags, grid in cases:
+    for method, data, label, flags, grid, *applied in cases:
         for folds in ("1", "3"):
             stem = f"{label.replace(' ', '-')}-{folds}"
             model = f"{stem}.json"
@@ -162,7 +167,8 @@ def jobs(seed):
                         ["fit", data, "--method", method, "--folds", folds, "--seed", str(seed),
                          "-o", model] + flags + (grid if folds == "3" else []), [model]))
             out.append((f"apply {label} folds {folds}",
-                        ["apply", model, data, "-o", f"{stem}.out.csv"], [f"{stem}.out.csv"]))
+                        ["apply", model, *(applied or [data]), "-o", f"{stem}.out.csv"],
+                        [f"{stem}.out.csv"]))
             if method in ("dirichlet_l2", "dirichlet_odir", "temperature"):
                 for fmt in ("text", "json-lines"):
                     out.append((f"inspect {label} folds {folds} {fmt}",
