@@ -134,6 +134,14 @@ def clip_probabilities(p, floor: float = DEFAULT_CLIP_FLOOR) -> np.ndarray:
     return out[0] if single_row else out
 
 
+def step_index(edges, x, steps: int) -> np.ndarray:
+    """Index of the last of the increasing ``edges`` at or below each x,
+    clipped in place to [0, steps - 1]: the step, or the bin, of x."""
+    idx = np.asarray(np.searchsorted(edges, x, side="right"))
+    idx -= 1
+    return np.clip(idx, 0, steps - 1, out=idx)
+
+
 def softmax(v, axis: int = -1, out=None) -> np.ndarray:
     """Overflow-safe softmax along ``axis`` (max is subtracted first), into
     ``out`` if given, which may be v itself."""

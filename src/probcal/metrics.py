@@ -13,7 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DEFAULT_CLIP_FLOOR, as_label_vector, as_probability_matrix, clip_probabilities
+from .core import (DEFAULT_CLIP_FLOOR, as_label_vector, as_probability_matrix, clip_probabilities,
+                   step_index)
 
 #: Default equal-width bin count for ECE / MCE / reliability diagrams.
 DEFAULT_BINS = 15
@@ -31,13 +32,6 @@ def _chunks(length: int, width: int) -> list:
 
 def _bin_edges(m: int) -> np.ndarray:
     return np.arange(m + 1) / m
-
-
-def _bin_index(x: np.ndarray, m: int) -> np.ndarray:
-    """Equal-width bin of each value, the last bin including 1.0, in place
-    in the one index array ``digitize`` returns."""
-    idx = np.digitize(x, _bin_edges(m))
-    return np.clip(np.subtract(idx, 1, out=idx), 0, m - 1, out=idx)
 
 
 @dataclass
@@ -96,7 +90,7 @@ class _Binning:
         # A row chunk at a time; ``add.at`` adds each prediction to its bin's
         # sum in row order, starting from 0, as one bincount of all rows does.
         for rows in _chunks(n, c):
-            keys = _bin_index(x[rows], m)
+            keys = step_index(_bin_edges(m), x[rows], m)
             self.bins[rows] = keys
             keys += m * np.arange(c)
             counts += np.bincount(keys.ravel(), minlength=c * m)

@@ -8,7 +8,7 @@ Both round-trip losslessly through plain dicts / JSON.
 """
 
 import datetime
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,9 +29,10 @@ class MethodSpec:
     parameter object, where ``start`` is None or fitted parameters of the
     same method that an iterative fit may start from (the others ignore
     it); ``apply(params, X, clip_floor)`` returns calibrated
-    probability rows; ``to_json`` / ``from_json`` convert the parameters to
-    and from plain dicts; ``defaults`` are the fixed hyperparameters used
-    when no grid or value is given, and name the ones a grid searches;
+    probability rows; ``params`` is the type of the parameters, a dataclass
+    whose fields are the keys of a model file's ``params`` (None for a
+    method without parameters); ``defaults`` are the fixed hyperparameters
+    used when no grid or value is given, and name the ones a grid searches;
     ``as_dirichlet(params, k)``, when set, gives the equivalent Dirichlet
     map ``LinearParams``. Entries look module functions up at call time.
     """
@@ -39,18 +40,9 @@ class MethodSpec:
     input: str
     fit: Callable
     apply: Callable
-    to_json: Callable
-    from_json: Callable
+    params: Optional[type]
     defaults: dict
     as_dirichlet: Optional[Callable] = None
-
-
-def _weights_to_json(params) -> dict:
-    return {"W": params.W.tolist(), "b": params.b.tolist()}
-
-
-def _weights_from_json(obj: dict) -> dirichlet.LinearParams:
-    return dirichlet.LinearParams(W=np.array(obj["W"]), b=np.array(obj["b"]))
 
 
 def _dirichlet_spec(reg, defaults) -> MethodSpec:
@@ -59,8 +51,7 @@ def _dirichlet_spec(reg, defaults) -> MethodSpec:
         fit=lambda X, y, h, floor, start: dirichlet.fit(
             clip_probabilities(X, floor), y, reg(h), _start=start),
         apply=lambda params, X, floor: dirichlet.apply_linear(X, params, floor),
-        to_json=_weights_to_json,
-        from_json=_weights_from_json,
+        params=dirichlet.LinearParams,
         defaults=defaults,
         as_dirichlet=lambda params, k: params,
     )
@@ -72,8 +63,7 @@ def _affine_spec(mode, reg, defaults) -> MethodSpec:
         fit=lambda X, y, h, floor, start: scaling.fit_affine_logit(
             X, y, mode=mode, reg=reg(h), _start=start),
         apply=lambda params, X, floor: scaling.apply_affine_logit(X, params),
-        to_json=_weights_to_json,
-        from_json=_weights_from_json,
+        params=scaling.AffineLogitParams,
         defaults=defaults,
     )
 
@@ -84,10 +74,7 @@ def _ovr_spec(kind, defaults) -> MethodSpec:
         fit=lambda X, y, h, floor, start: ovr.fit_ovr(
             X, y, kind, floor, **{name: h[name] for name in defaults}),
         apply=lambda params, X, floor: ovr.apply_ovr(X, params, floor),
-        to_json=lambda params: {"kind": params.kind,
-                                "maps": [_binary_to_jsonable(m) for m in params.maps]},
-        from_json=lambda obj: ovr.OneVsRestModel(
-            kind=obj["kind"], maps=tuple(_binary_from_jsonable(m) for m in obj["maps"])),
+        params=ovr.OneVsRestModel,
         defaults=defaults,
     )
 
@@ -101,8 +88,7 @@ METHOD_SPECS = {
         input=LOGITS,
         fit=lambda X, y, *_: scaling.fit_temperature(X, y),
         apply=lambda params, X, floor: scaling.apply_temperature(X, params),
-        to_json=lambda params: {"t": params.t},
-        from_json=lambda obj: scaling.TemperatureParams(t=float(obj["t"])),
+        params=scaling.TemperatureParams,
         defaults={},
         as_dirichlet=lambda params, k: scaling.temperature_as_dirichlet(params, k),
     ),
@@ -118,8 +104,7 @@ METHOD_SPECS = {
         input=PROBABILITIES,
         fit=lambda *_: None,
         apply=lambda params, X, floor: clip_probabilities(X, floor),
-        to_json=lambda params: {},
-        from_json=lambda obj: None,
+        params=None,
         defaults={},
     ),
 }
@@ -137,28 +122,36 @@ def method_spec(method: str) -> MethodSpec:
     return METHOD_SPECS[method]
 
 
-def _binary_to_jsonable(m) -> dict:
-    if isinstance(m, ovr.IsotonicMap):
-        return {"type": "isotonic", "breakpoints": m.breakpoints.tolist(),
-                "values": m.values.tolist()}
-    if isinstance(m, ovr.BinningMap):
-        return {"type": "binning", "edges": m.edges.tolist(), "bin_values": m.bin_values.tolist(),
-                "scheme": m.scheme}
-    if isinstance(m, ovr.BetaParams):
-        return {"type": "beta", "a": m.a, "b": m.b, "c": m.c}
-    raise TypeError(f"unknown binary calibrator {type(m).__name__}")
+#: one-vs-rest map type -> its type tag in model files.
+_MAP_TAGS = {ovr.IsotonicMap: "isotonic", ovr.BinningMap: "binning", ovr.BetaParams: "beta"}
 
 
-def _binary_from_jsonable(obj: dict):
-    t = obj["type"]
-    if t == "isotonic":
-        return ovr.IsotonicMap(breakpoints=np.array(obj["breakpoints"]), values=np.array(obj["values"]))
-    if t == "binning":
-        return ovr.BinningMap(edges=np.array(obj["edges"]), bin_values=np.array(obj["bin_values"]),
-                              scheme=obj["scheme"])
-    if t == "beta":
-        return ovr.BetaParams(a=obj["a"], b=obj["b"], c=obj["c"])
-    raise ValueError(f"unknown binary calibrator type {t!r}")
+def _params_to_json(params) -> dict:
+    """The fields of a parameter dataclass by name, arrays as lists; each
+    map of a one-vs-rest model has its type tag first. None gives {}."""
+    obj = {}
+    for f in fields(params) if params is not None else ():
+        value = getattr(params, f.name)
+        if f.name == "maps":
+            value = [{"type": _MAP_TAGS[type(m)], **_params_to_json(m)} for m in value]
+        obj[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return obj
+
+
+def _params_from_json(cls, obj):
+    """Parameters of type ``cls`` (None: none) from their dict, read field
+    by field in order; the dataclass converts and checks each value."""
+    if cls is None:
+        return None
+    return cls(**{f.name: [_map_from_json(m) for m in obj[f.name]] if f.name == "maps"
+                  else obj[f.name] for f in fields(cls)})
+
+
+def _map_from_json(obj):
+    for cls, tag in _MAP_TAGS.items():
+        if obj["type"] == tag:
+            return _params_from_json(cls, obj)
+    raise ValueError(f"unknown binary calibrator type {obj['type']!r}")
 
 
 #: input kind -> the check of a whole input that every method of the kind
@@ -216,9 +209,14 @@ class CalibratorModel:
     created: Optional[str] = None
 
     def __post_init__(self):
-        method_spec(self.method)
+        expected = method_spec(self.method).params or type(None)
         if self.k < 2:
             raise ValueError("k must be at least 2")
+        if not isinstance(self.params, expected):
+            raise ValueError(f"{self.method} parameters must be {expected.__name__}, "
+                             f"not {type(self.params).__name__}")
+        if isinstance(self.params, ovr.OneVsRestModel) and self.method != f"ovr_{self.params.kind}":
+            raise ValueError(f"{self.method} model holds {self.params.kind} one-vs-rest maps")
         if getattr(self.params, "k", self.k) != self.k:
             raise ValueError(f"parameters are for {self.params.k} classes, model declares {self.k}")
         if not self.label_names:
@@ -250,7 +248,7 @@ class CalibratorModel:
             "k": self.k,
             "input": self.input_kind,
             "labels": list(self.label_names),
-            "params": method_spec(self.method).to_json(self.params),
+            "params": _params_to_json(self.params),
             "hyperparams": dict(self.hyperparams),
             "clip_floor": self.clip_floor,
             "seed": self.seed,
@@ -264,7 +262,7 @@ class CalibratorModel:
         return cls(
             method=method,
             k=int(obj["k"]),
-            params=method_spec(method).from_json(obj["params"]),
+            params=_params_from_json(method_spec(method).params, obj["params"]),
             label_names=list(obj.get("labels", [])),
             hyperparams=dict(obj.get("hyperparams", {})),
             clip_floor=float(obj.get("clip_floor", DEFAULT_CLIP_FLOOR)),

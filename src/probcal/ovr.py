@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_CLIP_FLOOR, as_label_vector, as_probability_matrix, clip_probabilities
+from .core import (DEFAULT_CLIP_FLOOR, as_label_vector, as_probability_matrix, clip_probabilities,
+                   step_index)
 from .dirichlet import L2Config, fit_multinomial
 
 
@@ -38,9 +39,7 @@ class IsotonicMap:
 
     def predict(self, scores) -> np.ndarray:
         """Value of the block at the nearest breakpoint at or below the score."""
-        s = np.asarray(scores, dtype=float)
-        idx = np.searchsorted(self.breakpoints, s, side="right") - 1
-        return self.values[np.clip(idx, 0, self.values.size - 1)]
+        return self.values[step_index(self.breakpoints, scores, self.values.size)]
 
 
 @dataclass(frozen=True)
@@ -66,9 +65,7 @@ class BinningMap:
         object.__setattr__(self, "bin_values", vals)
 
     def predict(self, scores) -> np.ndarray:
-        s = np.asarray(scores, dtype=float)
-        idx = np.digitize(s, self.edges) - 1
-        return self.bin_values[np.clip(idx, 0, self.bin_values.size - 1)]
+        return self.bin_values[step_index(self.edges, scores, self.bin_values.size)]
 
 
 @dataclass(frozen=True)
@@ -85,17 +82,23 @@ class BetaParams:
 
     def predict(self, scores, floor: float = DEFAULT_CLIP_FLOOR) -> np.ndarray:
         """The two-class Dirichlet map on the features of the fit, scores in [0, 1]."""
-        s = np.asarray(scores, dtype=float)
-        x = _beta_features(s, floor)
-        u = self.a * x[:, 1] - self.b * x[:, 0] + self.c
-        with np.errstate(over="ignore"):  # exp(-u) = inf: a probability below 1e-308
-            return (1.0 / (1.0 + np.exp(-u))).reshape(s.shape)
+        return _beta_map(scores, self.a, self.b, self.c, floor)
 
 
 def _beta_features(scores, floor):
     """ln of the clipped rows (1 - s, s): a beta map's features, fitted and applied."""
     s = np.ravel(scores)
     return np.log(clip_probabilities(np.column_stack([1.0 - s, s]), floor))
+
+
+def _beta_map(scores, a, b, c, floor):
+    """sigmoid(a ln s - b ln(1-s) + c) of every score s, on the clipped
+    features of the fit; a, b and c broadcast against the scores' last axis."""
+    s = np.asarray(scores, dtype=float)
+    x = _beta_features(s, floor).reshape(s.shape + (2,))
+    u = a * x[..., 1] - b * x[..., 0] + c
+    with np.errstate(over="ignore"):  # exp(-u) = inf: a probability below 1e-308
+        return 1.0 / (1.0 + np.exp(-u))
 
 
 @dataclass(frozen=True)
@@ -106,10 +109,13 @@ class OneVsRestModel:
     maps: tuple
 
     def __post_init__(self):
-        if self.kind not in _BINARY_FITTERS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown one-vs-rest kind {self.kind!r}")
         if len(self.maps) < 2:
             raise ValueError("need one calibrator per class, k >= 2")
+        map_type = _KINDS[self.kind][0]
+        if not all(isinstance(m, map_type) for m in self.maps):
+            raise ValueError(f"{self.kind} one-vs-rest maps must be {map_type.__name__}")
         object.__setattr__(self, "maps", tuple(self.maps))
 
     @property
@@ -175,7 +181,7 @@ def fit_binning(scores, labels, m: int, scheme: str = "equal-width") -> BinningM
         edges = np.unique(np.clip(edges, 0.0, 1.0))
     else:
         raise ValueError(f"unknown binning scheme {scheme!r}")
-    idx = np.clip(np.digitize(s, edges) - 1, 0, edges.size - 2)
+    idx = step_index(edges, s, edges.size - 1)
     counts = np.bincount(idx, minlength=edges.size - 1).astype(float)
     sums = np.bincount(idx, weights=y, minlength=edges.size - 1)
     base_rate = y.mean()
@@ -219,11 +225,14 @@ def _isotonic_runs(scores, labels) -> IsotonicMap:
     return IsotonicMap(breakpoints=fitted.breakpoints[run], values=fitted.values[run])
 
 
-_BINARY_FITTERS = {
-    "isotonic": lambda s, y, floor, cfg: _isotonic_runs(s, y),
-    "width_bin": lambda s, y, floor, cfg: fit_binning(s, y, cfg["bins"], "equal-width"),
-    "freq_bin": lambda s, y, floor, cfg: fit_binning(s, y, cfg["bins"], "equal-frequency"),
-    "beta": lambda s, y, floor, cfg: fit_beta(s, y, floor=floor),
+#: one-vs-rest kind -> (type of its binary maps, their fitter).
+_KINDS = {
+    "isotonic": (IsotonicMap, lambda s, y, floor, cfg: _isotonic_runs(s, y)),
+    "width_bin": (BinningMap,
+                  lambda s, y, floor, cfg: fit_binning(s, y, cfg["bins"], "equal-width")),
+    "freq_bin": (BinningMap,
+                 lambda s, y, floor, cfg: fit_binning(s, y, cfg["bins"], "equal-frequency")),
+    "beta": (BetaParams, lambda s, y, floor, cfg: fit_beta(s, y, floor=floor)),
 }
 
 
@@ -238,9 +247,9 @@ def fit_ovr(probs, labels, kind: str, floor: float = DEFAULT_CLIP_FLOOR,
     """
     p = as_probability_matrix(probs)
     y = as_label_vector(labels, p.shape[1], p.shape[0])
-    if kind not in _BINARY_FITTERS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown one-vs-rest kind {kind!r}")
-    fitter = _BINARY_FITTERS[kind]
+    fitter = _KINDS[kind][1]
     maps = [fitter(p[:, j], (y == j).astype(float), floor, config) for j in range(p.shape[1])]
     return OneVsRestModel(kind=kind, maps=tuple(maps))
 
@@ -249,17 +258,22 @@ def apply_ovr(q, model: OneVsRestModel, floor: float = DEFAULT_CLIP_FLOOR) -> np
     """Apply the per-class maps coordinate-wise and renormalize.
 
     Beta maps predict on features clipped at ``floor``, the floor of their
-    fit. Each class column is predicted into one (n, k) output, which is then
-    renormalized in place. If every coordinate maps to zero the row falls
-    back to uniform.
+    fit, all classes at once from one clip of the n k rows (1 - s, s); the
+    other maps predict each class column into one (n, k) output. The output
+    is then renormalized in place. If every coordinate maps to zero the row
+    falls back to uniform.
     """
     single = np.asarray(q).ndim == 1
     p = as_probability_matrix(q)
     if p.shape[1] != model.k:
         raise ValueError(f"expected {model.k} classes, got {p.shape[1]}")
-    out = np.empty_like(p)
-    for j, m in enumerate(model.maps):
-        out[:, j] = m.predict(p[:, j], floor) if model.kind == "beta" else m.predict(p[:, j])
+    if model.kind == "beta":
+        a, b, c = np.array([(m.a, m.b, m.c) for m in model.maps], dtype=float).T
+        out = _beta_map(p, a, b, c, floor)
+    else:
+        out = np.empty_like(p)
+        for j, m in enumerate(model.maps):
+            out[:, j] = m.predict(p[:, j])
     totals = out.sum(axis=1, keepdims=True)
     nonzero = totals > 0.0
     np.divide(out, totals, out=out, where=nonzero)

@@ -30,6 +30,7 @@ class TemperatureParams:
     t: float
 
     def __post_init__(self):
+        object.__setattr__(self, "t", float(self.t))
         if not (self.t > 0.0 and np.isfinite(self.t)):
             raise ValueError("temperature must be a positive finite number")
 

@@ -629,6 +629,43 @@ class TestApplyCommand:
         rc = cli.main(["apply", str(bad), str(path), "-o", str(tmp_path / "o.csv")])
         assert rc == 2
 
+    @staticmethod
+    def apply_file(tmp_path, prob_file, capsys, method, params):
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps({
+            "schema": "probcal-model-v1", "type": "single", "method": method, "k": 3,
+            "params": params}))
+        out_path = tmp_path / "o.csv"
+        rc = cli.main(["apply", str(model_path), str(prob_file[0]), "-o", str(out_path)])
+        out, err = capsys.readouterr()
+        assert (rc, out, out_path.exists()) == (2, "", False)
+        return err
+
+    @pytest.mark.parametrize("method,kind,entry,text", [
+        ("ovr_beta", "beta", {"type": "isotonic", "breakpoints": [0.0, 0.5], "values": [0.2, 0.8]},
+         "beta one-vs-rest maps must be BetaParams"),
+        ("ovr_isotonic", "isotonic", {"type": "beta", "a": 1.0, "b": 1.0, "c": 0.0},
+         "isotonic one-vs-rest maps must be IsotonicMap"),
+        ("ovr_isotonic", "beta", {"type": "beta", "a": 1.0, "b": 1.0, "c": 0.0},
+         "ovr_isotonic model holds beta one-vs-rest maps"),
+    ])
+    def test_maps_kind_and_method_must_agree(self, tmp_path, prob_file, capsys, method, kind,
+                                             entry, text):
+        err = self.apply_file(tmp_path, prob_file, capsys, method,
+                              {"kind": kind, "maps": [entry] * 3})
+        assert f"invalid model file: {text}" in err
+
+    @pytest.mark.parametrize("method,params,text", [
+        # The kind is read before the maps.
+        ("ovr_isotonic", {"maps": [{"type": "spline"}] * 3}, "'kind'"),
+        ("dirichlet_l2", {"b": [0.0, 0.0, 0.0]}, "'W'"),
+        ("ovr_isotonic", {"kind": "isotonic", "maps": [{"type": "spline"}] * 3},
+         "unknown binary calibrator type 'spline'"),
+    ])
+    def test_malformed_params_texts(self, tmp_path, prob_file, capsys, method, params, text):
+        err = self.apply_file(tmp_path, prob_file, capsys, method, params)
+        assert err.rstrip().endswith(f"invalid model file: {text}")
+
 
 class TestEvalCommand:
     def test_hand_dataset(self, four_row_file, capsys):

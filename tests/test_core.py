@@ -10,6 +10,7 @@ from probcal.core import (
     clip_probabilities,
     log_transform,
     softmax,
+    step_index,
 )
 
 from conftest import random_simplex
@@ -141,3 +142,36 @@ class TestValidators:
     def test_dataset_accepts_logits(self):
         ds = CalibrationDataset(np.array([[5.0, -5.0], [0.0, 1.0]]), np.array([0, 1]), kind="logits")
         assert ds.n == 2 and ds.k == 2
+
+
+class TestStepIndex:
+    @staticmethod
+    def edge_sets():
+        rng = np.random.default_rng(3)
+        scores = np.round(rng.random(200), 1)  # ties: quantiles repeat
+        for m in (1, 15, 16):
+            yield np.arange(m + 1) / m
+            edges = np.quantile(scores, np.arange(m + 1) / m)
+            edges[0], edges[-1] = 0.0, 1.0
+            merged = np.unique(np.clip(edges, 0.0, 1.0))
+            assert merged.size < edges.size or m == 1
+            yield merged
+
+    def test_matches_digitize_at_and_around_the_edges(self):
+        for edges in self.edge_sets():
+            x = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                                [0.0, 1.0, -1.0, 2.0]])
+            steps = edges.size - 1
+            want = np.clip(np.digitize(x, edges) - 1, 0, steps - 1)
+            got = step_index(edges, x, steps)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            # The same values as a 2-d array, each in the bin of its own value.
+            np.testing.assert_array_equal(step_index(edges, np.column_stack([x, x[::-1]]), steps),
+                                          np.column_stack([want, want[::-1]]))
+
+    def test_values_past_the_last_edge_take_the_last_step(self):
+        bp = np.array([0.1, 0.4, 0.7])
+        np.testing.assert_array_equal(step_index(bp, [0.0, 0.1, 0.5, 0.7, 2.0, np.nan], 3),
+                                      [0, 0, 1, 2, 2, 2])
+        assert step_index(bp, 0.5, 3) == 1

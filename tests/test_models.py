@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
-from probcal.core import clip_probabilities, log_transform, softmax
+from probcal.core import DEFAULT_CLIP_FLOOR, clip_probabilities, log_transform, softmax
 from probcal.dirichlet import LinearParams
+from probcal.harness import cross_val_fit
 from probcal.metrics import _chunks
 from probcal.models import (
     METHOD_INPUT,
@@ -13,7 +16,7 @@ from probcal.models import (
     method_spec,
     model_from_dict,
 )
-from probcal.ovr import IsotonicMap, OneVsRestModel, fit_isotonic
+from probcal.ovr import BetaParams, IsotonicMap, OneVsRestModel, fit_isotonic
 
 from conftest import peaked_simplex, random_simplex, traced_peak
 from oracles import sample_labels_from_rows
@@ -27,6 +30,17 @@ PROB_METHODS = [
     ("ovr_beta", {}),
     ("uncalibrated", {}),
 ]
+#: method tag -> keys of its model file's params, and map type tag -> keys of a map.
+FILE_KEYS = {
+    **dict.fromkeys(("dirichlet_l2", "dirichlet_odir", "vector_scaling", "matrix_odir"),
+                    ["W", "b"]),
+    "temperature": ["t"],
+    **dict.fromkeys(("ovr_isotonic", "ovr_width_bin", "ovr_freq_bin", "ovr_beta"),
+                    ["kind", "maps"]),
+    "uncalibrated": [],
+}
+MAP_KEYS = {"isotonic": ["type", "breakpoints", "values"],
+            "binning": ["type", "edges", "bin_values", "scheme"], "beta": ["type", "a", "b", "c"]}
 LOGIT_METHODS = [
     ("temperature", {}),
     ("vector_scaling", {"mu": 0.0}),
@@ -203,6 +217,33 @@ class TestChunkedApply:
             assert peak <= 0.25 * q.nbytes, model.method
 
 
+class TestOvrBetaApply:
+    def test_matches_the_per_class_formula_over_chunks(self, rng):
+        n, k = 2000, 100
+        assert len(_chunks(n, k)) >= 3
+        q = random_simplex(rng, n, k)
+        q[:, ::7] = 0.0
+        q /= q.sum(axis=1, keepdims=True)
+        q[::9] = 0.0
+        q[::9, 3] = 1.0
+        abc = np.column_stack([rng.uniform(0.5, 1.5, (k, 2)), rng.normal(size=k)])
+        maps = tuple(BetaParams(*row) for row in abc.tolist())
+        for floor in (DEFAULT_CLIP_FLOOR, 1e-12):
+            model = CalibratorModel("ovr_beta", k, OneVsRestModel("beta", maps), clip_floor=floor)
+            # The reference: each class's map on its own column, written out.
+            raw = np.empty_like(q)
+            for j, m in enumerate(maps):
+                s = q[:, j]
+                x = np.log(clip_probabilities(np.column_stack([1.0 - s, s]), floor))
+                with np.errstate(over="ignore"):
+                    raw[:, j] = 1.0 / (1.0 + np.exp(-(m.a * x[:, 1] - m.b * x[:, 0] + m.c)))
+            want = raw / raw.sum(axis=1, keepdims=True)
+            assert model.apply(q).tobytes() == want.tobytes()
+            assert model.apply(q[9]).tobytes() == want[9].tobytes()
+            for j in (0, 3):
+                assert maps[j].predict(q[:, j], floor).tobytes() == raw[:, j].tobytes()
+
+
 class TestSerialization:
     @pytest.mark.parametrize("method,hyper", PROB_METHODS)
     def test_roundtrip_probability_methods(self, prob_data, method, hyper):
@@ -294,6 +335,27 @@ class TestSerialization:
                          0.25, 0.25, 0.25])
         expected = np.column_stack([raw0, raw1]) / (raw0 + raw1)[:, None]
         assert loaded.apply(X).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("folds", [1, 3])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_model_file_reencodes_byte_for_byte(self, prob_data, logit_data, method, folds):
+        X, y = logit_data if METHOD_INPUT[method] == "logits" else prob_data
+        model, _, _ = cross_val_fit(method, X, y, folds, seed=1)
+        assert isinstance(model, EnsembleModel if folds == 3 else CalibratorModel)
+        blob = json.dumps(model.to_dict(), indent=2)
+        doc = json.loads(blob)
+        assert json.dumps(model_from_dict(doc).to_dict(), indent=2) == blob
+        # Each parameter field is a key of the file, and each one-vs-rest map
+        # has its type tag first.
+        params = (doc["members"][0] if folds == 3 else doc)["params"]
+        assert list(params) == FILE_KEYS[method]
+        for entry in params.get("maps", ()):
+            assert list(entry) == MAP_KEYS[entry["type"]]
+
+    def test_integer_temperature_resaves_as_float(self):
+        doc = {"schema": "probcal-model-v1", "type": "single", "method": "temperature",
+               "k": 3, "params": {"t": 2}}
+        assert json.dumps(model_from_dict(doc).to_dict()["params"]) == '{"t": 2.0}'
 
     def test_rejects_bad_schema(self):
         with pytest.raises(ValueError):

@@ -6,14 +6,16 @@ Runs the CLI of each tree on the same seeded inputs and compares:
   ``compare`` (text, json-lines, csv) and ``inspect`` (text, json-lines),
   byte for byte, ``eval`` and ``test`` also at n = 10^4, k = 100;
 - one model file per method tag, byte for byte apart from ``created``,
-  and the CSV that ``apply`` writes with it, plus ``ovr_isotonic`` and
-  ``uncalibrated`` models and outputs at n = 10^4, k = 100, a
+  and the CSV that ``apply`` writes with it, plus ``ovr_isotonic``,
+  ``ovr_width_bin``, ``ovr_freq_bin`` and ``uncalibrated`` models and
+  outputs at n = 10^4, k = 100, a
   ``dirichlet_l2`` model fitted at n = 2000, k = 100 and applied at
   n = 10^4 (its matrix product over many row chunks), larger
   Newton-CG fits (``dirichlet_l2`` and ``dirichlet_odir`` at k = 30,
   ``matrix_odir`` at k = 20) and a small one (``dirichlet_odir`` at k = 3),
   each once and by a 3-fold two-point lambda grid, ``ovr_beta`` at clip
-  floor 1e-12 on rows with exact zeros and ones, and fits whose features
+  floor 1e-12 on rows with exact zeros and ones, applied to those rows and
+  to the n = 10^4, k = 100 file, and fits whose features
   make the curvature at the start near 0: ``dirichlet_odir`` on k = 10
   rows with an exact-zero column (ln q = -708 at the default floor) and
   ``matrix_odir`` on k = 10 logits with a margin of 200;
@@ -140,12 +142,12 @@ def jobs(seed):
             out.append((f"compare {data} {fmt}", argv + (["--methods", methods] if methods else []),
                         []))
     # (method, input of the fit, label, flags of every fit, flags of the
-    # 3-fold fit, input of the apply when not that of the fit)
+    # 3-fold fit, inputs of the applies when not that of the fit)
     cases = [(m, "z10.csv" if m in LOGIT_METHODS else "p10.csv", m, [], []) for m in METHODS]
     # At the paper's size the applies' working arrays are largest, and they
     # run over many row chunks.
     cases += [(m, "p100n10000.csv", f"{m} k100", [], [])
-              for m in ("ovr_isotonic", "uncalibrated")]
+              for m in ("ovr_isotonic", "ovr_width_bin", "ovr_freq_bin", "uncalibrated")]
     cases += [("dirichlet_l2", "p100.csv", "dirichlet_l2 k100", [], [], "p100n10000.csv")]
     # Every full-W fit solves its Newton steps by CG, from k = 3 (12
     # parameters) to k = 30 (930).
@@ -155,7 +157,8 @@ def jobs(seed):
               ("dirichlet_odir", "p3.csv", "dirichlet_odir k3", [], lambdas)]
     # Beta maps clip their features at the model's floor; the exact zeros
     # and ones of the sparse file meet it.
-    cases += [("ovr_beta", "p100sparse.csv", "ovr_beta k100 floor", ["--clip-floor", "1e-12"], [])]
+    cases += [("ovr_beta", "p100sparse.csv", "ovr_beta k100 floor", ["--clip-floor", "1e-12"], [],
+               "p100sparse.csv", "p100n10000.csv")]
     # Near-zero curvature at the identity start.
     cases += [("dirichlet_odir", "p10zero.csv", "dirichlet_odir k10 zero column", [], []),
               ("matrix_odir", "z10confident.csv", "matrix_odir k10 confident", [], [])]
@@ -166,9 +169,10 @@ def jobs(seed):
             out.append((f"fit {label} folds {folds}",
                         ["fit", data, "--method", method, "--folds", folds, "--seed", str(seed),
                          "-o", model] + flags + (grid if folds == "3" else []), [model]))
-            out.append((f"apply {label} folds {folds}",
-                        ["apply", model, *(applied or [data]), "-o", f"{stem}.out.csv"],
-                        [f"{stem}.out.csv"]))
+            for target in applied or [data]:
+                written = f"{stem}-{Path(target).stem}.out.csv"
+                out.append((f"apply {label} folds {folds} to {target}",
+                            ["apply", model, target, "-o", written], [written]))
             if method in ("dirichlet_l2", "dirichlet_odir", "temperature"):
                 for fmt in ("text", "json-lines"):
                     out.append((f"inspect {label} folds {folds} {fmt}",
